@@ -128,9 +128,10 @@ jobsFlag()
 
 /**
  * System scheduler selected on the command line (--scheduler=step|
- * slice; default slice). The step scheduler is the bit-identical
- * reference — the escape hatch for debugging the event-driven path,
- * and one half of the sched_parity_is_exact differential test.
+ * slice|compiled; default slice). All three are bit-identical; step
+ * is the single-instruction reference — the escape hatch for
+ * debugging the run-ahead paths, and the baseline of the
+ * sched_parity_is_exact differential test.
  */
 inline sim::SchedulerKind &
 schedulerFlag()

@@ -26,7 +26,7 @@
  * Failed job with errorKind "config" — the "rejected" cell.
  *
  * Usage: fault_campaign [--app=APP3] [--out=DIR] [--jobs=N]
- * [--scheduler=step|slice] [obs switches]
+ * [--scheduler=step|slice|compiled] [obs switches]
  * With --out=DIR a run report embedding the degraded stitch plan is
  * written per scenario. Scenarios are independent, so --jobs=N
  * drains them over the engine's worker pool; jobs finish in submit

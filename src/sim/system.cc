@@ -481,138 +481,22 @@ System::noteDeadlock(RunStats &stats)
 }
 
 void
-System::runStepLoop(RunStats &stats, std::uint64_t maxInstructions)
+System::dispatch(RunStats &stats, std::uint64_t maxInstructions)
 {
-    std::uint64_t executed = 0;
+    // One advance policy per run (table at SchedulerKind).
+    enum class Advance { Step, ExactSlice, RelaxedSlice, Compiled };
     const bool sampling = obs::Sampler::enabled();
-    TileId running = -1;
+    Advance advance = Advance::Compiled;
+    if (params_.scheduler == SchedulerKind::Step || sampling)
+        advance = Advance::Step;
+    else if (obs::Tracer::enabled() || injector_.active() ||
+             maxInstructions < runawayInstructionBudget)
+        advance = Advance::ExactSlice;
+    else if (params_.scheduler == SchedulerKind::Slice)
+        advance = Advance::RelaxedSlice;
 
-    auto loop = [&] {
-        while (true) {
-            // Pick the runnable (loaded, not halted, not blocked)
-            // core with the smallest local time.
-            TileId pick = -1;
-            for (TileId t = 0; t < numTiles; ++t) {
-                Tile &tile = tiles_[static_cast<std::size_t>(t)];
-                if (!tile.loaded || tile.core->halted() ||
-                    tile.blocked)
-                    continue;
-                if (pick < 0 ||
-                    tile.core->time() <
-                        tiles_[static_cast<std::size_t>(pick)]
-                            .core->time())
-                    pick = t;
-            }
-
-            if (pick < 0) {
-                noteDeadlock(stats);
-                return;
-            }
-
-            if (executed >= maxInstructions) {
-                // The step budget ran out with work remaining:
-                // report a bounded, non-fatal termination (exactly
-                // maxInstructions steps were attempted).
-                stats.termination =
-                    fault::Termination::InstructionLimit;
-                return;
-            }
-
-            // Cooperative wall-clock cancellation: polled at a
-            // coarse stride so the deterministic fast path pays one
-            // predictable branch per step and no atomic traffic.
-            if (params_.abortFlag && (executed & 0xfff) == 0 &&
-                params_.abortFlag->load(std::memory_order_relaxed))
-                throw fault::DeadlineExceededError(
-                    detail::formatMessage(
-                        "run aborted by deadline watchdog after ",
-                        executed, " instructions"));
-
-            Tile &tile = tiles_[static_cast<std::size_t>(pick)];
-            running = pick;
-            cpu::StepResult result = tile.core->step();
-            ++executed;
-            if (sampling)
-                sampleStep(pick);
-
-            if (result == cpu::StepResult::Blocked)
-                tile.blocked = true;
-            // Wake exactly the receivers whose pending RECV matches
-            // a message injected this step; everyone else would
-            // re-poll, fail, and re-block. Steps without a SEND
-            // leave sentThisStep_ empty and skip the pass entirely.
-            if (!sentThisStep_.empty()) {
-                for (const auto &msg : sentThisStep_) {
-                    Tile &rx =
-                        tiles_[static_cast<std::size_t>(msg.dst)];
-                    if (!rx.blocked)
-                        continue;
-                    const auto &pending = rx.core->pendingRecv();
-                    if (pending && pending->src == msg.src &&
-                        pending->tag == msg.tag)
-                        rx.blocked = false;
-                }
-                sentThisStep_.clear();
-            }
-        }
-    };
-
-    // Injected faults surface as exceptions mid-step and become a
-    // Termination::Fault outcome; without an injector, only the typed
-    // execution faults (wild branch, runaway PC) are run outcomes —
-    // anything else indicates real misuse and must propagate.
-    if (!injector_.active()) {
-        try {
-            loop();
-        } catch (const fault::ExecutionFaultError &err) {
-            stats.termination = fault::Termination::Fault;
-            stats.faultMessage = detail::formatMessage(
-                "tile ", running, " crashed: ", err.what());
-            warn(stats.faultMessage);
-        }
-        return;
-    }
-    try {
-        loop();
-    } catch (const fault::PatchFaultError &err) {
-        stats.termination = fault::Termination::Fault;
-        stats.patchFault = err.fault();
-        stats.faultMessage = err.what();
-        warn(err.what());
-    } catch (const fault::DeadlineExceededError &) {
-        // A watchdog abort is a service-tier outcome, not a hardware
-        // fault of this run: let the engine type it as "deadline".
-        throw;
-    } catch (const FatalError &err) {
-        // A core tripped over state an injected fault corrupted
-        // (e.g. a flipped CUST output used as an address). With
-        // injection active that is a run outcome, not simulator
-        // misuse. ExecutionFaultError lands here too, with the same
-        // message as the no-injector frame above.
-        stats.termination = fault::Termination::Fault;
-        stats.faultMessage = detail::formatMessage(
-            "tile ", running, " crashed: ", err.what());
-        warn(stats.faultMessage);
-    }
-}
-
-void
-System::runSliceLoop(RunStats &stats, std::uint64_t maxInstructions)
-{
     std::uint64_t executed = 0;
-    const bool sampling = obs::Sampler::enabled();
-    // Relaxed run-ahead reorders only tile-private work, which is
-    // invisible in every completed run's stats. Fall back to the
-    // reference-exact interleaving whenever something can observe
-    // the total instruction order: the tracer (event file order),
-    // an active fault injector (partial stats at a Fault
-    // termination), or a meaningful instruction budget (which
-    // attempt is the cutoff). See DESIGN.md §10.
-    const bool relaxed = !obs::Tracer::enabled() &&
-                         !injector_.active() &&
-                         maxInstructions >= runawayInstructionBudget;
     TileId running = -1;
-
     queue_.clear();
     for (TileId t = 0; t < numTiles; ++t) {
         Tile &tile = tiles_[static_cast<std::size_t>(t)];
@@ -620,16 +504,25 @@ System::runSliceLoop(RunStats &stats, std::uint64_t maxInstructions)
             queue_.push(t, tile.core->time());
     }
 
-    auto loop = [&] {
+    auto crashed = [&](const FatalError &err) {
+        stats.termination = fault::Termination::Fault;
+        stats.faultMessage = detail::formatMessage(
+            "tile ", running, " crashed: ", err.what());
+        warn(stats.faultMessage);
+    };
+
+    try {
         while (!queue_.empty()) {
             if (executed >= maxInstructions) {
-                stats.termination =
-                    fault::Termination::InstructionLimit;
+                // The budget ran out with work remaining: a bounded,
+                // non-fatal termination (exactly maxInstructions
+                // attempts were made).
+                stats.termination = fault::Termination::InstructionLimit;
                 return;
             }
 
-            // Deadline watchdog poll (see runStepLoop): once per
-            // dispatched slice, never inside Core::runSlice.
+            // Cooperative wall-clock cancellation, polled once per
+            // dispatch and never inside a slice.
             if (params_.abortFlag &&
                 params_.abortFlag->load(std::memory_order_relaxed))
                 throw fault::DeadlineExceededError(
@@ -637,40 +530,36 @@ System::runSliceLoop(RunStats &stats, std::uint64_t maxInstructions)
                         "run aborted by deadline watchdog after ",
                         executed, " instructions"));
 
-            TileId pick = queue_.top();
-            running = pick;
-            Tile &tile = tiles_[static_cast<std::size_t>(pick)];
+            // The top core is the globally minimal (time, id) key —
+            // the linear scan's pick — and stays at the heap top
+            // while it runs: its slice ends exactly when it stops
+            // being the minimum, so one updateTop() restores the
+            // invariant instead of a pop+push round trip.
+            running = queue_.top();
+            Tile &tile = tiles_[static_cast<std::size_t>(running)];
+            RunQueue::Entry horizon{~Cycles{0}, numTiles};
+            if (advance != Advance::Step && queue_.size() > 1)
+                horizon = queue_.second();
 
             cpu::StepResult result;
-            if (sampling) {
-                // Single-step dispatch under interval profiling:
-                // each step's bucket deltas must land in the window
-                // of that step's completion time, so slices collapse
-                // to length one and the timeline stays bit-identical
-                // to the reference scheduler's.
+            switch (advance) {
+              case Advance::Step:
                 result = tile.core->step();
                 ++executed;
-                sampleStep(pick);
-            } else {
-                // Run ahead: the top core is the globally minimal
-                // (time, id) key, and stays safe to run without
-                // rescheduling until it retires a SEND, blocks,
-                // halts, exhausts the budget, or its clock passes
-                // the next-best queued key. The core stays at the
-                // heap top throughout — the slice ends exactly when
-                // it stops being the minimum, so afterwards one
-                // updateTop() restores the invariant instead of a
-                // pop+push round trip.
-                Cycles horizonTime = ~Cycles{0};
-                TileId horizonTile = numTiles;
-                if (queue_.size() > 1) {
-                    RunQueue::Entry next = queue_.second();
-                    horizonTime = next.time;
-                    horizonTile = next.tile;
-                }
-                result = tile.core->runSlice(maxInstructions,
-                                             executed, horizonTime,
-                                             horizonTile, relaxed);
+                if (sampling)
+                    sampleStep(running);
+                break;
+              case Advance::ExactSlice:
+              case Advance::RelaxedSlice:
+                result = tile.core->runSlice(
+                    maxInstructions, executed, horizon.time,
+                    horizon.tile, advance == Advance::RelaxedSlice);
+                break;
+              case Advance::Compiled:
+                result = tile.core->runCompiled(
+                    maxInstructions, executed, horizon.time,
+                    horizon.tile);
+                break;
             }
 
             if (result == cpu::StepResult::Blocked) {
@@ -682,12 +571,12 @@ System::runSliceLoop(RunStats &stats, std::uint64_t maxInstructions)
                 queue_.updateTop(tile.core->time());
             }
 
-            // Deliver wake-ups (see runStepLoop); woken receivers
-            // re-enter the queue at the time they blocked.
+            // Wake exactly the receivers whose pending RECV matches a
+            // message injected this dispatch; they re-enter the queue
+            // at the time they blocked.
             if (!sentThisStep_.empty()) {
                 for (const auto &msg : sentThisStep_) {
-                    Tile &rx =
-                        tiles_[static_cast<std::size_t>(msg.dst)];
+                    Tile &rx = tiles_[static_cast<std::size_t>(msg.dst)];
                     if (!rx.blocked)
                         continue;
                     const auto &pending = rx.core->pendingRecv();
@@ -701,24 +590,9 @@ System::runSliceLoop(RunStats &stats, std::uint64_t maxInstructions)
             }
         }
         noteDeadlock(stats);
-    };
-
-    // Same hoisted exception discipline as runStepLoop: the
-    // no-injector frame converts only typed execution faults, the
-    // injector frame everything fault-induced.
-    if (!injector_.active()) {
-        try {
-            loop();
-        } catch (const fault::ExecutionFaultError &err) {
-            stats.termination = fault::Termination::Fault;
-            stats.faultMessage = detail::formatMessage(
-                "tile ", running, " crashed: ", err.what());
-            warn(stats.faultMessage);
-        }
-        return;
-    }
-    try {
-        loop();
+    } catch (const fault::ExecutionFaultError &err) {
+        // Wild branch or runaway PC: a run outcome, never misuse.
+        crashed(err);
     } catch (const fault::PatchFaultError &err) {
         stats.termination = fault::Termination::Fault;
         stats.patchFault = err.fault();
@@ -729,111 +603,13 @@ System::runSliceLoop(RunStats &stats, std::uint64_t maxInstructions)
         // fault of this run: let the engine type it as "deadline".
         throw;
     } catch (const FatalError &err) {
-        stats.termination = fault::Termination::Fault;
-        stats.faultMessage = detail::formatMessage(
-            "tile ", running, " crashed: ", err.what());
-        warn(stats.faultMessage);
-    }
-}
-
-void
-System::runCompiledLoop(RunStats &stats,
-                        std::uint64_t maxInstructions)
-{
-    // Deoptimize wholesale whenever per-instruction order or state is
-    // observable: the tracer (event file order), the sampler (bucket
-    // deltas per sample window), an active fault injector (exact
-    // partial stats at a Fault termination), or a meaningful
-    // instruction budget (which attempt is the cutoff). The slice
-    // scheduler already handles every one of these byte-exactly, so
-    // the compiled path never needs a slow mode of its own.
-    if (obs::Tracer::enabled() || obs::Sampler::enabled() ||
-        injector_.active() ||
-        maxInstructions < runawayInstructionBudget) {
-        runSliceLoop(stats, maxInstructions);
-        return;
-    }
-
-    std::uint64_t executed = 0;
-    TileId running = -1;
-
-    queue_.clear();
-    for (TileId t = 0; t < numTiles; ++t) {
-        Tile &tile = tiles_[static_cast<std::size_t>(t)];
-        if (tile.loaded && !tile.core->halted() && !tile.blocked)
-            queue_.push(t, tile.core->time());
-    }
-
-    auto loop = [&] {
-        while (!queue_.empty()) {
-            if (executed >= maxInstructions) {
-                stats.termination =
-                    fault::Termination::InstructionLimit;
-                return;
-            }
-
-            // Deadline watchdog poll (see runStepLoop): once per
-            // dispatched slice, never inside Core::runCompiled.
-            if (params_.abortFlag &&
-                params_.abortFlag->load(std::memory_order_relaxed))
-                throw fault::DeadlineExceededError(
-                    detail::formatMessage(
-                        "run aborted by deadline watchdog after ",
-                        executed, " instructions"));
-
-            TileId pick = queue_.top();
-            running = pick;
-            Tile &tile = tiles_[static_cast<std::size_t>(pick)];
-
-            Cycles horizonTime = ~Cycles{0};
-            TileId horizonTile = numTiles;
-            if (queue_.size() > 1) {
-                RunQueue::Entry next = queue_.second();
-                horizonTime = next.time;
-                horizonTile = next.tile;
-            }
-            cpu::StepResult result = tile.core->runCompiled(
-                maxInstructions, executed, horizonTime, horizonTile);
-
-            if (result == cpu::StepResult::Blocked) {
-                tile.blocked = true;
-                queue_.pop();
-            } else if (tile.core->halted()) {
-                queue_.pop();
-            } else {
-                queue_.updateTop(tile.core->time());
-            }
-
-            // Deliver wake-ups (see runStepLoop); woken receivers
-            // re-enter the queue at the time they blocked.
-            if (!sentThisStep_.empty()) {
-                for (const auto &msg : sentThisStep_) {
-                    Tile &rx =
-                        tiles_[static_cast<std::size_t>(msg.dst)];
-                    if (!rx.blocked)
-                        continue;
-                    const auto &pending = rx.core->pendingRecv();
-                    if (pending && pending->src == msg.src &&
-                        pending->tag == msg.tag) {
-                        rx.blocked = false;
-                        queue_.push(msg.dst, rx.core->time());
-                    }
-                }
-                sentThisStep_.clear();
-            }
-        }
-        noteDeadlock(stats);
-    };
-
-    // The injector is off here by construction; convert the typed
-    // execution faults with the same message as the other loops.
-    try {
-        loop();
-    } catch (const fault::ExecutionFaultError &err) {
-        stats.termination = fault::Termination::Fault;
-        stats.faultMessage = detail::formatMessage(
-            "tile ", running, " crashed: ", err.what());
-        warn(stats.faultMessage);
+        // With injection active, a core tripping over state an
+        // injected fault corrupted (e.g. a flipped CUST output used
+        // as an address) is a run outcome; otherwise it is real
+        // misuse and propagates.
+        if (!injector_.active())
+            throw;
+        crashed(err);
     }
 }
 
@@ -873,17 +649,7 @@ System::run(std::uint64_t maxInstructions)
                 bucketsNow(t);
     }
 
-    switch (params_.scheduler) {
-      case SchedulerKind::Step:
-        runStepLoop(stats, maxInstructions);
-        break;
-      case SchedulerKind::Slice:
-        runSliceLoop(stats, maxInstructions);
-        break;
-      case SchedulerKind::Compiled:
-        runCompiledLoop(stats, maxInstructions);
-        break;
-    }
+    dispatch(stats, maxInstructions);
 
     // A run cut short (deadlock, fault, step budget) may never reach
     // the harness's orderly Tracer::stop(): make the on-disk trace a

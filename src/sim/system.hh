@@ -42,50 +42,51 @@ enum class AccelMode
 };
 
 /**
- * How System::run dispatches work to the cores. Both schedulers
- * implement the same conservative discipline and produce
- * bit-identical RunStats, reports, traces and profiles; Step is the
- * simple reference (one linear scan + one instruction per iteration),
- * Slice the production path (indexed min-heap + run-ahead slices).
+ * How System::run advances the core it picks. All three schedulers
+ * share one dispatch loop — the (time, id) run queue of sim/sched.hh,
+ * one wake-up pass and one watchdog poll per dispatch — and produce
+ * bit-identical RunStats, reports, traces and profiles; they differ
+ * only in the advance policy, chosen once per run (DESIGN.md §10 has
+ * the invariant proofs):
  *
- * The slice scheduler picks between two run-ahead regimes per run
- * (see DESIGN.md §10 for the invariant proofs):
+ *  | chosen when                                 | advance           |
+ *  |---------------------------------------------|-------------------|
+ *  | Step, or the interval sampler is on         | Core::step()      |
+ *  | tracer on, injector active, or a budget     | exact runSlice    |
+ *  |   below runawayInstructionBudget            |                   |
+ *  | Slice                                       | relaxed runSlice  |
+ *  | Compiled                                    | Core::runCompiled |
  *
- *  - relaxed (the fast path): a core runs ahead through tile-private
- *    work (ALU, control flow, private-memory traffic) without limit;
- *    only the globally visible operations — SEND, RECV, CUST — wait
- *    until the core holds the globally minimal (time, id) key. The
- *    global event order, and with it every message arrival, every
- *    injected-fault stream and every final counter, is exactly the
- *    step scheduler's.
- *  - exact: the slice additionally ends as soon as the core's clock
- *    passes the next-runnable tile's key, reproducing the step
- *    scheduler's total instruction interleaving one-for-one. Chosen
- *    automatically whenever something observes that total order:
- *    cycle tracing (event file order), active fault injection
- *    (partial stats at a Fault termination), or a finite instruction
- *    budget (which attempt is the cutoff). Interval profiling
- *    further drops to single-instruction dispatch so bucket deltas
- *    land in the reference sample windows.
+ *  - step: one instruction per pick, the simple reference. Interval
+ *    profiling needs it so bucket deltas land in the reference
+ *    sample windows.
+ *  - exact slice: the slice ends as soon as the core's clock passes
+ *    the next-runnable tile's key, reproducing step's total
+ *    instruction interleaving one-for-one. Chosen whenever something
+ *    observes that total order: cycle tracing (event file order),
+ *    active fault injection (partial stats at a Fault termination),
+ *    or a finite instruction budget (which attempt is the cutoff).
+ *    Compiled falls back here too.
+ *  - relaxed slice (the production path): a core runs ahead through
+ *    tile-private work (ALU, control flow, private-memory traffic)
+ *    without limit; only the globally visible operations — SEND,
+ *    RECV, CUST — wait until the core holds the globally minimal
+ *    (time, id) key. The global event order, and with it every
+ *    message arrival and every final counter, is exactly step's.
+ *  - compiled: the relaxed discipline driven through translation-
+ *    cached micro-op traces with inline-cached memory routing and
+ *    superinstructions (src/jit/, DESIGN.md §15) instead of the
+ *    per-instruction fetch→decode→switch.
  *
- * The compiled scheduler is the third regime: it keeps the slice
- * scheduler's relaxed run-ahead discipline but drives each core
- * through Core::runCompiled — translation-cached micro-op traces with
- * inline-cached memory routing and superinstructions (src/jit/,
- * DESIGN.md §15) instead of the per-instruction fetch→decode→switch.
- * Whenever something observes per-instruction order or state (cycle
- * tracing, interval sampling, an active fault injector, a meaningful
- * instruction budget), the whole run deoptimizes to the slice
- * scheduler, which already handles those regimes byte-exactly.
- *
- * The `sched_parity_is_exact` ctest and tests/test_sched.cc hold all
+ * The `sched_parity_is_exact` ctest and tests/test_sched.cc (the
+ * app parity suite and the random multi-tile SchedulerFuzz) hold all
  * three schedulers to byte-equality across all of these regimes.
  */
 enum class SchedulerKind
 {
-    Step,  ///< reference: O(tiles) scan, one instruction per pick
-    Slice, ///< event-driven: O(log tiles) heap, run-ahead slices
-    Compiled, ///< slice discipline + translation-cached trace dispatch
+    Step,     ///< reference: one instruction per pick
+    Slice,    ///< run-ahead slices (relaxed when unobserved)
+    Compiled, ///< relaxed slices through translation-cached traces
 };
 
 /** Printable name ("step" / "slice" / "compiled"). */
@@ -292,7 +293,7 @@ class System : public cpu::CustomHandler, public cpu::MessageHub
     /**
      * The default `maxInstructions` of run(): a runaway backstop,
      * not a measurement feature. Passing anything smaller marks the
-     * budget as meaningful, which makes the slice scheduler use
+     * budget as meaningful, which makes slice and compiled runs use
      * reference-exact interleaving so the cutoff lands on the very
      * same instruction attempt as under the step scheduler.
      */
@@ -382,20 +383,12 @@ class System : public cpu::CustomHandler, public cpu::MessageHub
     /** Feed the stepped tile's new bucket cycles to the sampler. */
     void sampleStep(TileId t);
 
-    /** The reference scheduler: linear scan, one instruction/pick. */
-    void runStepLoop(RunStats &stats, std::uint64_t maxInstructions);
-
-    /** The event-driven scheduler: run queue + run-ahead slices. */
-    void runSliceLoop(RunStats &stats, std::uint64_t maxInstructions);
-
     /**
-     * The compiled scheduler: the slice run queue driving
-     * Core::runCompiled. Deoptimizes wholesale to runSliceLoop when
-     * tracing, sampling, fault injection or a meaningful budget needs
-     * per-instruction observability.
+     * The run loop: advance the minimal (time, id) runnable tile
+     * under the run's policy (see SchedulerKind) until the queue
+     * drains, the budget runs out or a fault surfaces.
      */
-    void runCompiledLoop(RunStats &stats,
-                         std::uint64_t maxInstructions);
+    void dispatch(RunStats &stats, std::uint64_t maxInstructions);
 
     /** Collect blocked-tile diagnostics when nothing is runnable. */
     void noteDeadlock(RunStats &stats);
@@ -403,7 +396,7 @@ class System : public cpu::CustomHandler, public cpu::MessageHub
     /** Fill the per-tile / chip-wide totals of a finished run. */
     void collectRunStats(RunStats &stats);
 
-    /** A message injected during the current step (for wake-up). */
+    /** A message injected during the current dispatch (for wake-up). */
     struct SentMessage
     {
         TileId src = -1;
@@ -417,7 +410,7 @@ class System : public cpu::CustomHandler, public cpu::MessageHub
     core::NullSpmPort nullSpm_;
     fault::FaultInjector injector_;
     std::vector<SentMessage> sentThisStep_;
-    RunQueue queue_; ///< runnable tiles of the slice scheduler
+    RunQueue queue_; ///< runnable tiles of the dispatch loop
 
     core::SnocConfig snocCfg_; ///< preset kept for hop attribution
     std::array<StatGroup, numTiles> patchStats_;

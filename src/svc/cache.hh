@@ -50,9 +50,10 @@ namespace stitch::svc
 inline constexpr const char *cacheEntrySchema = "stitch-cache-entry";
 inline constexpr int cacheEntryVersion = 1;
 
-/** Bumped whenever the engine changes what a stored result means
- *  (independent of the job-schema and report versions). */
-inline constexpr int engineVersion = 1;
+/** Bumped whenever the engine changes what a stored result means or
+ *  how it is keyed (independent of the job-schema and report
+ *  versions). 2: `scheduler` left the canonical form. */
+inline constexpr int engineVersion = 2;
 
 /** The invalidation stamp every entry must match to be served. */
 std::string cacheStamp();

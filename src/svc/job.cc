@@ -197,6 +197,28 @@ mix64(std::uint64_t x)
     return x;
 }
 
+/** The simulation fields of `spec`, in canonical key order; the
+ *  scheduler hint only when `withScheduler`. */
+void
+setSimulationFields(const JobSpec &spec, obs::Json &j,
+                    bool withScheduler)
+{
+    j.set("app", spec.resolveApp().name);
+    j.set("mode", appModeToken(spec.mode));
+    j.set("policy", stitchPolicyToken(spec.policy));
+    if (withScheduler)
+        j.set("scheduler", sim::schedulerKindName(spec.scheduler));
+    j.set("samples_short", spec.samplesShort);
+    j.set("samples_long", spec.samplesLong);
+    j.set("max_instructions", spec.maxInstructions);
+    j.set("health", spec.healthFromFaults ? "from_faults" : "healthy");
+    j.set("faults", faultsJson(spec.faults));
+    obs::Json art = obs::Json::object();
+    art.set("profile", spec.artifacts.profile);
+    art.set("energy", spec.artifacts.energy);
+    j.set("artifacts", art);
+}
+
 } // namespace
 
 const char *
@@ -391,19 +413,7 @@ JobSpec::canonicalJson() const
     obs::Json j = obs::Json::object();
     j.set("schema", jobSchema);
     j.set("version", jobSchemaVersion);
-    j.set("app", resolveApp().name);
-    j.set("mode", appModeToken(mode));
-    j.set("policy", stitchPolicyToken(policy));
-    j.set("scheduler", sim::schedulerKindName(scheduler));
-    j.set("samples_short", samplesShort);
-    j.set("samples_long", samplesLong);
-    j.set("max_instructions", maxInstructions);
-    j.set("health", healthFromFaults ? "from_faults" : "healthy");
-    j.set("faults", faultsJson(faults));
-    obs::Json art = obs::Json::object();
-    art.set("profile", artifacts.profile);
-    art.set("energy", artifacts.energy);
-    j.set("artifacts", art);
+    setSimulationFields(*this, j, /*withScheduler=*/false);
     return j;
 }
 
@@ -419,10 +429,7 @@ JobSpec::toJson() const
         j.set("priority", priority);
     if (deadlineMs != 0)
         j.set("deadline_ms", deadlineMs);
-    obs::Json canonical = canonicalJson();
-    for (const auto &kv : canonical.items())
-        if (kv.first != "schema" && kv.first != "version")
-            j.set(kv.first, kv.second);
+    setSimulationFields(*this, j, /*withScheduler=*/true);
     return j;
 }
 

@@ -9,11 +9,12 @@
  *
  * A spec has a *canonical form*: a JSON serialization with a fixed
  * key order, every default materialized, collections sorted and
- * deduplicated, and presentation-only fields (the label and the queue
- * priority) stripped. Two specs describe the same simulation iff
- * their canonical forms are byte-identical, which makes the canonical
- * form the cache identity: cacheKey() is a splitmix64-based hash of
- * those bytes (see svc/cache.hh for the collision guard).
+ * deduplicated, and the fields that leave the report unchanged (the
+ * label, the queue priority, the deadline and the scheduler)
+ * stripped. Two specs describe the same simulation iff their
+ * canonical forms are byte-identical, which makes the canonical form
+ * the cache identity: cacheKey() is a splitmix64-based hash of those
+ * bytes (see svc/cache.hh for the collision guard).
  */
 
 #ifndef STITCH_SVC_JOB_HH
@@ -70,11 +71,17 @@ struct JobSpec
      */
     std::uint64_t deadlineMs = 0;
 
+    /**
+     * Execution hint: how the simulator interleaves the tiles. All
+     * schedulers produce byte-identical reports, so, like the
+     * deadline, this is NOT part of the cache identity.
+     */
+    sim::SchedulerKind scheduler = sim::SchedulerKind::Slice;
+
     // The simulation itself — every field below is hashed.
     std::string app; ///< full catalog name (resolved at parse time)
     apps::AppMode mode = apps::AppMode::Stitch;
     compiler::StitchPolicy policy = compiler::StitchPolicy::Auto;
-    sim::SchedulerKind scheduler = sim::SchedulerKind::Slice;
     int samplesShort = 4;
     int samplesLong = 12;
 
@@ -100,7 +107,8 @@ struct JobSpec
      */
     static JobSpec fromJson(const obs::Json &doc);
 
-    /** Full round-trippable document (label and priority included). */
+    /** Full round-trippable document (label, priority, deadline and
+     *  scheduler included). */
     obs::Json toJson() const;
 
     /** The canonical form (see the file comment). */

@@ -377,6 +377,10 @@ Server::bindAndListen(std::uint16_t port)
 Server::~Server()
 {
     stop();
+    // Closed only here, once serve() can no longer be inside
+    // accept(): closing in stop() would race that read and could
+    // hand the fd number to another open() before serve() noticed.
+    ::close(listenFd_);
 }
 
 void
@@ -384,12 +388,9 @@ Server::stop()
 {
     if (stopping_.exchange(true))
         return;
-    if (listenFd_ >= 0) {
-        // shutdown() wakes a blocked accept(); close() alone may not.
-        ::shutdown(listenFd_, SHUT_RDWR);
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
+    // shutdown() wakes a blocked accept() (close() alone may not)
+    // and leaves listenFd_ untouched for the destructor.
+    ::shutdown(listenFd_, SHUT_RDWR);
 }
 
 void

@@ -133,9 +133,10 @@ class Server
 
     /**
      * Unblock serve() from another thread or a signal handler;
-     * idempotent. Async-signal-safe: shutdown()/close() are on the
-     * safe list and the atomic exchange is lock-free. The request
-     * being answered when stop() lands still completes (the loop is
+     * idempotent. Async-signal-safe: shutdown() is on the safe list
+     * and the atomic exchange is lock-free. The listening socket
+     * stays open until the destructor. The request being answered
+     * when stop() lands still completes (the loop is
      * single-threaded), which is the daemon's drain.
      */
     void stop();

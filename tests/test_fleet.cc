@@ -403,7 +403,17 @@ TEST_F(RouterFixture, RoutesByRingOwnerAndAnnotates)
               resp.get("shard").asString());
     EXPECT_TRUE(again.get("cached").asBool());
 
-    EXPECT_EQ(router_->stats().jobsRouted, 2u);
+    // So does one asking for another scheduler: an execution hint
+    // outside the cache identity.
+    svc::JobSpec hinted = spec;
+    hinted.scheduler = sim::SchedulerKind::Compiled;
+    obs::Json compiled = router_->handle(hinted.toJson());
+    ASSERT_EQ(compiled.get("status").asString(), "ok");
+    EXPECT_EQ(compiled.get("shard").asString(),
+              resp.get("shard").asString());
+    EXPECT_TRUE(compiled.get("cached").asBool());
+
+    EXPECT_EQ(router_->stats().jobsRouted, 3u);
     EXPECT_EQ(router_->stats().failoverReroutes, 0u);
 }
 

@@ -9,9 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hh"
 #include "compiler/driver.hh"
-#include "isa/assembler.hh"
+#include "fuzz_gen.hh"
 #include "mem/addrmap.hh"
 
 namespace stitch::compiler
@@ -43,28 +42,8 @@ randomKernel(std::uint64_t seed)
 
     // Random compute body over t3..t7/a0.
     const RegId temps[] = {t3, t4, t5, t6, t7, a0};
-    int ops = static_cast<int>(rng.range(3, 10));
-    for (int i = 0; i < ops; ++i) {
-        RegId rd = temps[rng.range(0, 5)];
-        RegId ra = temps[rng.range(0, 5)];
-        RegId rb = temps[rng.range(0, 5)];
-        switch (rng.range(0, 7)) {
-          case 0: a.add(rd, ra, rb); break;
-          case 1: a.sub(rd, ra, rb); break;
-          case 2: a.mul(rd, ra, rb); break;
-          case 3: a.xor_(rd, ra, rb); break;
-          case 4: a.and_(rd, ra, rb); break;
-          case 5: a.or_(rd, ra, rb); break;
-          case 6:
-            a.slli(rd, ra,
-                   static_cast<std::int32_t>(rng.range(1, 7)));
-            break;
-          case 7:
-            a.srai(rd, ra,
-                   static_cast<std::int32_t>(rng.range(1, 7)));
-            break;
-        }
-    }
+    fuzz::emitRandomAlu(a, rng, temps,
+                        static_cast<int>(rng.range(3, 10)));
 
     a.add(t2, s3, t1);
     a.sw(a0, t2, 0);

@@ -1,17 +1,23 @@
-/** @file Scheduler differential tests: the event-driven slice
- *  scheduler must be observably identical to the single-step
- *  reference (reports, stats, terminations), the run queue must
- *  reproduce the linear scan's pick order, and sweep results must
- *  not depend on the worker count. */
+/** @file Scheduler differential tests: the slice and compiled
+ *  schedulers must be observably identical to the single-step
+ *  reference (reports, stats, terminations) on the catalog apps and
+ *  on random multi-tile programs, the run queue must reproduce the
+ *  linear scan's pick order, and sweep results must not depend on
+ *  the worker count. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "apps/app_runner.hh"
-#include "isa/assembler.hh"
+#include "fuzz_gen.hh"
+#include "mem/addrmap.hh"
 #include "sim/report.hh"
 #include "sim/sched.hh"
 #include "sim/sweep.hh"
@@ -273,6 +279,251 @@ TEST(SchedulerParity, DeadPatchFaultTerminationMatches)
         EXPECT_EQ(step.stats.faultMessage, other.stats.faultMessage);
     }
 }
+
+// ---------------------------------------------------------------------
+// Scheduler differential fuzzing: random multi-tile message-passing
+// programs, each run under step, slice and compiled, must produce
+// byte-identical run reports (component counter tree included).
+// ---------------------------------------------------------------------
+
+/** A generated scenario: one program per participating tile. */
+struct FuzzScenario
+{
+    std::array<std::optional<isa::Program>, numTiles> programs;
+    bool unmatchedRecv = false; ///< one tile ends in a RECV nobody answers
+};
+
+/** Registers the random compute may clobber. */
+constexpr RegId fuzzTemps[] = {t3, t4, t5, t6, t7, a0, a1};
+
+/** DRAM window each tile reads and writes (memory is tile-private). */
+constexpr std::int32_t fuzzDramBase = 0x00100000;
+
+/**
+ * Tile-private work: random ALU/MUL runs, DRAM and scratchpad
+ * loads/stores, counted loops and data-dependent forward branches.
+ * Uses s0 (DRAM base), s1 (SPM base), t0 (loop counter) and t8
+ * (addresses) besides fuzzTemps.
+ */
+void
+emitPrivateWork(Assembler &a, Rng &rng)
+{
+    auto temp = [&] {
+        return fuzzTemps[rng.range(0, std::size(fuzzTemps) - 1)];
+    };
+    auto word = [&](std::int64_t words) {
+        return static_cast<std::int32_t>(4 * rng.range(0, words - 1));
+    };
+    for (auto piece = rng.range(1, 4); piece > 0; --piece) {
+        switch (rng.range(0, 3)) {
+          case 0:
+            fuzz::emitRandomAlu(a, rng, fuzzTemps,
+                                static_cast<int>(rng.range(1, 6)));
+            break;
+          case 1: {
+            // One draw per statement keeps the program independent of
+            // the compiler's argument evaluation order.
+            RegId base = rng.range(0, 1) ? s0 : s1;
+            RegId value = temp();
+            a.sw(value, base, word(256));
+            RegId dest = temp();
+            if (base == s0 && rng.range(0, 1))
+                a.lb(dest, base, word(256));
+            else
+                a.lw(dest, base, word(256));
+            break;
+          }
+          case 2: {
+            // Counted loop striding DRAM a cache line per trip.
+            auto loop = a.newLabel();
+            a.li(t0, static_cast<std::int32_t>(rng.range(1, 12)));
+            a.bind(loop);
+            fuzz::emitRandomAlu(a, rng, fuzzTemps,
+                                static_cast<int>(rng.range(1, 4)));
+            a.slli(t8, t0, 6);
+            a.add(t8, s0, t8);
+            if (rng.range(0, 1))
+                a.sw(temp(), t8, 0);
+            else
+                a.lw(temp(), t8, 0);
+            a.addi(t0, t0, -1);
+            a.bne(t0, zero, loop);
+            break;
+          }
+          case 3: {
+            auto skip = a.newLabel();
+            RegId x = temp();
+            RegId y = temp();
+            switch (rng.range(0, 2)) {
+              case 0: a.beq(x, y, skip); break;
+              case 1: a.bne(x, y, skip); break;
+              case 2: a.blt(x, y, skip); break;
+            }
+            fuzz::emitRandomAlu(a, rng, fuzzTemps,
+                                static_cast<int>(rng.range(1, 4)));
+            a.bind(skip);
+            break;
+          }
+        }
+    }
+}
+
+/**
+ * Random phases of matched SEND/RECV traffic between a random subset
+ * of tiles. Each phase every tile does private work, sends its
+ * messages (SEND never blocks), then receives its own, so the
+ * matched program always completes; received values feed a
+ * data-dependent loop. Some seeds append one unmatched RECV.
+ */
+FuzzScenario
+randomScenario(std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<TileId> tiles(numTiles);
+    std::iota(tiles.begin(), tiles.end(), 0);
+    for (std::int64_t i = numTiles - 1; i > 0; --i)
+        std::swap(tiles[i], tiles[rng.range(0, i)]);
+    tiles.resize(rng.range(2, numTiles));
+    auto anyTile = [&] { return tiles[rng.range(0, tiles.size() - 1)]; };
+
+    struct Message
+    {
+        TileId src, dst;
+        std::int32_t count;
+    };
+    std::vector<std::vector<Message>> phases(rng.range(1, 3));
+    for (auto &phase : phases) {
+        for (auto m = rng.range(1, 2 * tiles.size()); m > 0; --m) {
+            TileId src = anyTile();
+            TileId dst = src;
+            while (dst == src)
+                dst = anyTile();
+            phase.push_back(
+                {src, dst, static_cast<std::int32_t>(rng.range(1, 4))});
+        }
+    }
+
+    FuzzScenario sc;
+    sc.unmatchedRecv = rng.range(0, 3) == 0;
+    const TileId victim = anyTile();
+    for (TileId t : tiles) {
+        Assembler a("fuzz" + std::to_string(t));
+        a.li(s0, fuzzDramBase);
+        a.li(s1, static_cast<std::int32_t>(mem::spmBase));
+        for (RegId r : fuzzTemps)
+            a.li(r, static_cast<std::int32_t>(rng.range(-999, 999)));
+        for (std::size_t p = 0; p < phases.size(); ++p) {
+            const auto tag = static_cast<std::int32_t>(p);
+            emitPrivateWork(a, rng);
+            for (const auto &msg : phases[p]) {
+                if (msg.src != t)
+                    continue;
+                auto loop = a.newLabel();
+                a.li(t1, msg.dst);
+                a.li(t2, msg.count);
+                a.bind(loop);
+                a.addi(a0, a0, 1);
+                a.send(a0, t1, tag);
+                a.addi(t2, t2, -1);
+                a.bne(t2, zero, loop);
+            }
+            for (const auto &msg : phases[p]) {
+                if (msg.dst != t)
+                    continue;
+                auto loop = a.newLabel();
+                a.li(t1, msg.src);
+                a.li(t2, msg.count);
+                a.bind(loop);
+                a.recv(t3, t1, tag);
+                a.xor_(a0, a0, t3);
+                a.addi(t2, t2, -1);
+                a.bne(t2, zero, loop);
+            }
+            // Trip count taken from received data.
+            auto loop = a.newLabel();
+            a.andi(t0, a0, 3);
+            a.addi(t0, t0, 1);
+            a.bind(loop);
+            fuzz::emitRandomAlu(a, rng, fuzzTemps,
+                                static_cast<int>(rng.range(1, 3)));
+            a.addi(t0, t0, -1);
+            a.bne(t0, zero, loop);
+        }
+        if (sc.unmatchedRecv && t == victim) {
+            a.li(t1, tiles[0] == t ? tiles[1] : tiles[0]);
+            a.recv(t3, t1, static_cast<std::int32_t>(phases.size()));
+        }
+        a.halt();
+        sc.programs[static_cast<std::size_t>(t)] = a.finish();
+    }
+    return sc;
+}
+
+/** Run `sc` once; returns the report with the counter tree. */
+std::string
+runScenario(const FuzzScenario &sc, SchedulerKind kind,
+            const fault::FaultPlan &faults, std::uint64_t budget,
+            RunStats *statsOut = nullptr)
+{
+    SystemParams params;
+    params.accel = AccelMode::None;
+    params.scheduler = kind;
+    params.faults = faults;
+    System system(params);
+    for (TileId t = 0; t < numTiles; ++t)
+        if (const auto &prog = sc.programs[static_cast<std::size_t>(t)])
+            system.loadProgram(t, wrap(*prog));
+    RunStats stats = system.run(budget);
+    if (statsOut)
+        *statsOut = stats;
+    return runReport(stats, &system.registry()).dump(2);
+}
+
+/** Step's stats for one leg, after checking slice and compiled. */
+RunStats
+expectSchedulerParity(const FuzzScenario &sc, const char *leg,
+                      const fault::FaultPlan &faults = {},
+                      std::uint64_t budget =
+                          System::runawayInstructionBudget)
+{
+    RunStats stats;
+    const std::string step =
+        runScenario(sc, SchedulerKind::Step, faults, budget, &stats);
+    for (auto kind : {SchedulerKind::Slice, SchedulerKind::Compiled})
+        EXPECT_EQ(step, runScenario(sc, kind, faults, budget))
+            << leg << " / " << schedulerKindName(kind);
+    return stats;
+}
+
+class SchedulerFuzz : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(SchedulerFuzz, ReportsAreByteIdenticalAcrossSchedulers)
+{
+    const auto seed = static_cast<std::uint64_t>(GetParam()) * 104729 + 3;
+    const FuzzScenario sc = randomScenario(seed);
+
+    // No observers: the compiled backend runs its own traces here.
+    RunStats free = expectSchedulerParity(sc, "unobserved");
+    EXPECT_EQ(free.termination, sc.unmatchedRecv
+                                    ? fault::Termination::Deadlock
+                                    : fault::Termination::Completed);
+    EXPECT_EQ(free.blockedTiles.size(), sc.unmatchedRecv ? 1u : 0u);
+
+    // A finite budget that cuts the run halfway.
+    RunStats cut = expectSchedulerParity(
+        sc, "budget", {}, std::max<std::uint64_t>(1, free.instructions / 2));
+    EXPECT_EQ(cut.termination, fault::Termination::InstructionLimit);
+
+    // Seeded network faults: drops may deadlock, delays reorder.
+    expectSchedulerParity(sc, "drop",
+                          fault::FaultPlan::messageDrop(0.05, seed));
+    expectSchedulerParity(sc, "delay",
+                          fault::FaultPlan::messageDelay(0.5, 40, seed));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerFuzz, ::testing::Range(0, 48));
 
 TEST(SweepRunner, ResultsDoNotDependOnWorkerCount)
 {

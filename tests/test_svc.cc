@@ -183,6 +183,18 @@ TEST(JobSchema, CacheKeyIgnoresPresentationFields)
     EXPECT_EQ(a.canonicalJson().dump(), b.canonicalJson().dump());
     EXPECT_EQ(a.cacheKey(), b.cacheKey());
 
+    // The scheduler is an execution hint: every scheduler writes the
+    // same report, so it must not split the cache entry.
+    for (auto kind : {sim::SchedulerKind::Step,
+                      sim::SchedulerKind::Compiled}) {
+        JobSpec hinted = a;
+        hinted.scheduler = kind;
+        EXPECT_EQ(a.canonicalJson().dump(),
+                  hinted.canonicalJson().dump());
+        EXPECT_EQ(a.cacheKey(), hinted.cacheKey());
+        EXPECT_EQ(JobSpec::fromJson(hinted.toJson()).scheduler, kind);
+    }
+
     // Every simulation-relevant field must move the key.
     JobSpec c = a;
     c.policy = compiler::StitchPolicy::Greedy;

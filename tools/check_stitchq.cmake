@@ -5,7 +5,10 @@
 #     a per-job report that is byte-identical to a serial
 #     `smoke_app APP1-gesture --report=...` of the same spec.
 #  2. A duplicate spec in the same batch coalesces: its report file is
-#     byte-identical to the first occurrence's.
+#     byte-identical to the first occurrence's, and the cold pass
+#     simulates only the two distinct jobs. The duplicate asks for
+#     another scheduler, which is an execution hint outside the cache
+#     identity.
 #  3. Re-running the batch against the warm on-disk cache must perform
 #     ZERO simulations (service counters: simulated == 0, every job a
 #     cache hit) and reproduce every report byte for byte.
@@ -19,13 +22,13 @@ file(MAKE_DIRECTORY "${work}")
 
 # The batch: one spec matching smoke_app's defaults, a baseline run,
 # a comment, and a duplicate of the first spec at another priority
-# (priority is presentation-only, so it must coalesce).
+# and scheduler (neither changes the report, so it must coalesce).
 file(WRITE "${work}/batch.jsonl"
 "{\"schema\":\"stitch-job\",\"version\":1,\"name\":\"gesture\",\"app\":\"APP1-gesture\",\"mode\":\"stitch\"}
 {\"schema\":\"stitch-job\",\"version\":1,\"name\":\"gesture-base\",\"app\":\"APP1-gesture\",\"mode\":\"baseline\"}
 # comment lines and blank lines are skipped
 
-{\"schema\":\"stitch-job\",\"version\":1,\"name\":\"gesture-again\",\"priority\":9,\"app\":\"APP1-gesture\",\"mode\":\"stitch\"}
+{\"schema\":\"stitch-job\",\"version\":1,\"name\":\"gesture-again\",\"priority\":9,\"scheduler\":\"compiled\",\"app\":\"APP1-gesture\",\"mode\":\"stitch\"}
 ")
 
 # The serial reference: smoke_app's --report of the same application
@@ -67,6 +70,16 @@ execute_process(
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "duplicate spec did not coalesce to an "
                         "identical report")
+endif()
+
+# 2b. ...from one simulation: the cold pass ran only the two
+# distinct jobs.
+file(READ "${work}/cold_summary.json" summary)
+string(JSON simulated GET "${summary}"
+       service counters svc jobs simulated)
+if(NOT simulated EQUAL 2)
+    message(FATAL_ERROR "cold batch expected 2 simulated jobs (the "
+                        "duplicate coalesced), got ${simulated}")
 endif()
 
 # 3a. Warm pass reproduced every report.

@@ -79,7 +79,7 @@ namespace
 {
 
 /** Set once the Server exists so the signal handler can reach it.
- *  Server::stop() is async-signal-safe (shutdown/close + a lock-free
+ *  Server::stop() is async-signal-safe (shutdown() + a lock-free
  *  atomic exchange). */
 svc::Server *gServer = nullptr;
 
