@@ -73,7 +73,7 @@ main(int argc, char **argv)
     auto rows = sweep.map(
         static_cast<int>(std::size(mixes)), [&](int i) {
             const Mix &mix = mixes[static_cast<std::size_t>(i)];
-            apps::RunConfig cfg = runner.config();
+            apps::RunConfig cfg = bench::runConfig(runner);
             cfg.arch = mix.arch;
             MixRow row;
             row.cells = {mix.name};

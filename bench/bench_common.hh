@@ -115,9 +115,9 @@ parseJsonFlag(const char *arg)
 
 /**
  * Worker count for scenario sweeps (--jobs=N, default 1). Benches
- * hand it to sim::SweepRunner, which may force it back to 1 while
- * tracing or profiling is active. --jobs=0 means one worker per
- * hardware thread.
+ * hand it to sim::SweepRunner or the job engine; tracing and
+ * profiling are per run, so any count works with them. --jobs=0
+ * means one worker per hardware thread.
  */
 inline int &
 jobsFlag()
@@ -171,7 +171,8 @@ writeObsArtifacts(const apps::AppRunResult &res)
             flags.speedscopePath,
             prof::buildProfile(
                 res.stats, res.stageBindings,
-                static_cast<std::uint64_t>(res.samplesLong)));
+                static_cast<std::uint64_t>(res.samplesLong)),
+            res.timeline);
 }
 
 /**
@@ -207,13 +208,11 @@ initObs(int argc, char **argv)
     // Touch every static the exit handler reads *before* registering
     // it: function-local statics constructed after std::atexit are
     // destroyed before the handler runs (reverse order), which made
-    // writeBenchJson() read a dead metrics map.
+    // writeBenchJson() read a dead metrics map. The --trace document
+    // closes when obsFlags() is destroyed, after the handler.
     benchJsonPath();
     benchMetrics();
-    std::atexit([] {
-        obsFlags().end();
-        writeBenchJson();
-    });
+    std::atexit(writeBenchJson);
 }
 
 /** Kernel list of the Fig. 11 study, in display order. */
@@ -258,6 +257,19 @@ appRunner()
     return runner;
 }
 
+/**
+ * `runner`'s setter-configured state as a RunConfig that also carries
+ * this invocation's --trace tracer and --profile=N interval.
+ */
+inline apps::RunConfig
+runConfig(const apps::AppRunner &runner)
+{
+    apps::RunConfig cfg = runner.config();
+    cfg.tracer = obsFlags().tracer();
+    cfg.profileInterval = obsFlags().profileInterval;
+    return cfg;
+}
+
 /** Application run cache keyed by (app, mode). */
 inline const apps::AppRunResult &
 appResult(const apps::AppSpec &app, apps::AppMode mode)
@@ -267,7 +279,9 @@ appResult(const apps::AppSpec &app, apps::AppMode mode)
         app.name + "/" + apps::appModeName(mode);
     auto it = cache.find(key);
     if (it == cache.end()) {
-        it = cache.emplace(key, appRunner().run(app, mode)).first;
+        apps::AppRunner &runner = appRunner();
+        it = cache.emplace(key, runner.run(app, mode, runConfig(runner)))
+                 .first;
         writeObsArtifacts(it->second);
     }
     return it->second;

@@ -116,6 +116,7 @@ AppRunner::run(const AppSpec &app, AppMode mode,
     sysParams.faults = config.faults;
     sysParams.scheduler = config.scheduler;
     sysParams.abortFlag = config.abortFlag;
+    sysParams.tracer = config.tracer;
     switch (mode) {
       case AppMode::Baseline:
         sysParams.accel = sim::AccelMode::None;
@@ -267,6 +268,10 @@ AppRunner::run(const AppSpec &app, AppMode mode,
 
     telem::ScopedSpan simSpan(config.trace, telem::Stage::Simulate);
     sim::RunStats shortRun = simulate(samplesShort, nullptr);
+    if (config.profileInterval > 0) {
+        result.timeline = obs::Sampler(config.profileInterval);
+        sysParams.sampler = &result.timeline;
+    }
     result.stats = simulate(samplesLong, &result.statsDump);
     simSpan.close();
     if (shortRun.termination == fault::Termination::Completed &&

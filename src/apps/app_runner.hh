@@ -82,6 +82,13 @@ struct AppRunResult
      * used the compiled scheduler (smoke_app --dump-traces).
      */
     std::string traceDump;
+
+    /**
+     * The long run's interval timeline, sampled iff
+     * RunConfig::profileInterval is set (hasData() is false
+     * otherwise). Reports attach it as "profile_timeline".
+     */
+    obs::Sampler timeline;
 };
 
 /**
@@ -137,6 +144,21 @@ struct RunConfig
      * fault::DeadlineExceededError. Not part of the cache identity.
      */
     const std::atomic<bool> *abortFlag = nullptr;
+
+    /**
+     * Event trace of both simulated runs (SystemParams::tracer; null
+     * = off). The compile step's standalone measurement runs are
+     * never traced, so a trace does not depend on the kernel cache.
+     * Not part of the cache identity.
+     */
+    obs::Tracer *tracer = nullptr;
+
+    /**
+     * Sample the long run's cycle buckets in windows of this many
+     * cycles into AppRunResult::timeline (0 = off). Not part of the
+     * cache identity.
+     */
+    Cycles profileInterval = 0;
 };
 
 /** Compiles, stitches, places, and simulates applications. */

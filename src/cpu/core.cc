@@ -13,8 +13,8 @@ using isa::Opcode;
 using obs::Tracer;
 
 Core::Core(TileId id, mem::TileMemory &memory, CustomHandler *custom,
-           MessageHub *hub)
-    : id_(id), mem_(memory), custom_(custom), hub_(hub),
+           MessageHub *hub, obs::Tracer *tracer)
+    : id_(id), mem_(memory), custom_(custom), hub_(hub), tracer_(tracer),
       instrCount_(stats_.counter("instructions")),
       imissStall_(stats_.counter("imiss_stall_cycles")),
       dmissStall_(stats_.counter("dmiss_stall_cycles")),
@@ -29,16 +29,17 @@ Core::Core(TileId id, mem::TileMemory &memory, CustomHandler *custom,
       msgsReceived_(stats_.counter("msgs_received")),
       customInstrs_(stats_.counter("custom_instructions"))
 {
-    mem_.setTraceTile(id);
+    mem_.setTracer(tracer, id);
 }
 
 void
 Core::traceFlushExec(Cycles upTo)
 {
-    if (upTo > execStart_)
-        Tracer::instance().slice(Tracer::pidTiles, id_, "exec",
-                                 execStart_, upTo);
+    tracer_->slice(Tracer::pidTiles, id_, "exec", execStart_, upTo,
+                   {{"custs", execCusts_}, {"fused", execFused_}});
     execStart_ = upTo;
+    execCusts_ = 0;
+    execFused_ = 0;
 }
 
 void
@@ -47,10 +48,10 @@ Core::chargeStall(Cycles cycles, Counter &bucket, const char *label)
     if (cycles == 0)
         return;
     bucket += cycles;
-    if (Tracer::enabled()) {
+    if (tracer_) {
         traceFlushExec(time_);
-        Tracer::instance().slice(Tracer::pidTiles, id_, label, time_,
-                                 time_ + cycles);
+        tracer_->slice(Tracer::pidTiles, id_, label, time_,
+                       time_ + cycles);
         execStart_ = time_ + cycles;
     }
     time_ += cycles;
@@ -100,6 +101,8 @@ Core::loadProgram(const isa::Program &prog)
     time_ = 0;
     retired_ = 0;
     execStart_ = 0;
+    execCusts_ = 0;
+    execFused_ = 0;
     pendingRecv_.reset();
     halted_ = prog_.code().empty();
 }
@@ -168,7 +171,7 @@ Core::execute(const Instr &in)
         break;
       case Opcode::Halt:
         halted_ = true;
-        if (Tracer::enabled())
+        if (tracer_)
             traceFlushExec(time_);
         return StepResult::Halted;
 
@@ -318,8 +321,8 @@ Core::execute(const Instr &in)
         if (!hub_)
             fatal("SEND executed on a core without a message hub");
         auto dst = static_cast<TileId>(rs(in.rs1));
-        if (Tracer::enabled())
-            Tracer::instance().instant(
+        if (tracer_)
+            tracer_->instant(
                 Tracer::pidTiles, id_, "SEND", time_,
                 {{"dst", static_cast<std::uint64_t>(dst)},
                  {"tag", static_cast<std::uint64_t>(in.imm)}});
@@ -346,9 +349,9 @@ Core::execute(const Instr &in)
         if (msg->second > time_) {
             Cycles arrival = msg->second;
             recvWait_ += arrival - time_;
-            if (Tracer::enabled()) {
+            if (tracer_) {
                 traceFlushExec(time_);
-                Tracer::instance().slice(
+                tracer_->slice(
                     Tracer::pidTiles, id_, "wait recv", time_, arrival,
                     {{"src", static_cast<std::uint64_t>(src)},
                      {"tag", static_cast<std::uint64_t>(in.imm)}});
@@ -356,8 +359,8 @@ Core::execute(const Instr &in)
             }
             time_ = arrival;
         }
-        if (Tracer::enabled())
-            Tracer::instance().instant(
+        if (tracer_)
+            tracer_->instant(
                 Tracer::pidTiles, id_, "RECV", time_,
                 {{"src", static_cast<std::uint64_t>(src)},
                  {"tag", static_cast<std::uint64_t>(in.imm)}});
@@ -371,10 +374,6 @@ Core::execute(const Instr &in)
         if (in.cfg >= prog_.iseTable().size())
             fatal("CUST cfg index ", in.cfg, " outside ISE table of ",
                   prog_.name());
-        if (Tracer::enabled())
-            Tracer::instance().instant(
-                Tracer::pidTiles, id_, "CUST", time_,
-                {{"cfg", static_cast<std::uint64_t>(in.cfg)}});
         std::array<Word, 4> operands = {rs(in.rs0), rs(in.rs1),
                                         rs(in.rs2), rs(in.rs3)};
         auto res = custom_->executeCustom(
@@ -384,6 +383,10 @@ Core::execute(const Instr &in)
         if (res.writeRd1)
             setReg(in.rd1, res.rd1);
         ++customInstrs_;
+        if (tracer_) {
+            ++execCusts_;
+            execFused_ += res.usedRemote;
+        }
         break;
       }
 

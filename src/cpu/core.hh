@@ -99,9 +99,11 @@ class Core
      *               no custom instructions
      * @param hub    message fabric; may be null iff the program has
      *               no SEND/RECV
+     * @param tracer event trace of this core and its caches; null
+     *               (the default) runs untraced
      */
     Core(TileId id, mem::TileMemory &memory, CustomHandler *custom,
-         MessageHub *hub);
+         MessageHub *hub, obs::Tracer *tracer = nullptr);
 
     /**
      * Load `prog`: decoded code, data segments into backing memory,
@@ -170,8 +172,8 @@ class Core
      * executions cut short by a thrown fault (see DESIGN.md §15).
      *
      * Precondition (System::run enforces by choosing another advance
-     * policy for the whole run): tracer, sampler and fault injector
-     * off, and `budget` is the runaway backstop, not a meaningful
+     * policy for the whole run): no tracer, sampler or active fault
+     * injector, and `budget` is the runaway backstop, not a meaningful
      * cutoff — mid-trace budget overshoot falls back to single
      * oracle steps so the final attempt still matches.
      */
@@ -280,7 +282,8 @@ class Core
     /**
      * Tracing: close the running coalesced "exec" slice at `upTo` and
      * start the next one there. Adjacent instructions merge into one
-     * slice; stalls and waits split it.
+     * slice; stalls and waits split it. The slice's args count the
+     * custom instructions it retired, and how many of them fused.
      */
     void traceFlushExec(Cycles upTo);
 
@@ -292,6 +295,7 @@ class Core
     mem::TileMemory &mem_;
     CustomHandler *custom_;
     MessageHub *hub_;
+    obs::Tracer *tracer_;
 
     isa::Program prog_;
     std::vector<std::int32_t> wordToIndex_; ///< word addr -> instr idx
@@ -335,6 +339,8 @@ class Core
     Counter &customInstrs_;
 
     Cycles execStart_ = 0; ///< begin of the open traced exec slice
+    std::uint64_t execCusts_ = 0; ///< CUSTs retired in that slice
+    std::uint64_t execFused_ = 0; ///< of which fused over the sNoC
 };
 
 } // namespace stitch::cpu

@@ -56,14 +56,13 @@ Cache::fill(Line *base, Addr tag, bool isWrite, Addr a, Cycles now)
         ++refills_;
     if (writeback)
         ++writebacks_;
-    if (obs::Tracer::enabled() && traceTile_ >= 0) {
-        auto &tracer = obs::Tracer::instance();
-        tracer.instant(obs::Tracer::pidTiles, traceTile_,
-                       traceMiss_.c_str(), now, {{"addr", a}});
+    if (tracer_) {
+        tracer_->instant(obs::Tracer::pidTiles, traceTile_,
+                         traceMiss_.c_str(), now, {{"addr", a}});
         if (writeback)
-            tracer.instant(obs::Tracer::pidTiles, traceTile_,
-                           traceWriteback_.c_str(), now,
-                           {{"addr", a}});
+            tracer_->instant(obs::Tracer::pidTiles, traceTile_,
+                             traceWriteback_.c_str(), now,
+                             {{"addr", a}});
     }
     victim->valid = true;
     victim->dirty = isWrite;
@@ -73,8 +72,9 @@ Cache::fill(Line *base, Addr tag, bool isWrite, Addr a, Cycles now)
 }
 
 void
-Cache::setTraceContext(int tile, const char *name)
+Cache::setTracer(obs::Tracer *tracer, int tile, const char *name)
 {
+    tracer_ = tracer;
     traceTile_ = tile;
     traceMiss_ = std::string(name) + " miss";
     traceWriteback_ = std::string(name) + " writeback";

@@ -18,6 +18,11 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 
+namespace stitch::obs
+{
+class Tracer;
+}
+
 namespace stitch::mem
 {
 
@@ -91,11 +96,10 @@ class Cache
     }
 
     /**
-     * Attach this cache to a tile's trace track. `name` ("icache",
-     * "dcache") labels the emitted miss events; untagged caches never
-     * trace.
+     * Record this cache's misses on `tile`'s track of `tracer` (null:
+     * stop tracing). `name` ("icache", "dcache") labels the events.
      */
-    void setTraceContext(int tile, const char *name);
+    void setTracer(obs::Tracer *tracer, int tile, const char *name);
 
     /** True if `a` currently hits without changing state. */
     bool probe(Addr a) const;
@@ -150,7 +154,8 @@ class Cache
     Counter &refills_;
     Counter &writebacks_;
 
-    int traceTile_ = -1; ///< tile track for miss events; -1 = off
+    obs::Tracer *tracer_ = nullptr; ///< null: untraced
+    int traceTile_ = -1; ///< tile track of the miss events
     std::string traceMiss_;
     std::string traceWriteback_;
 };

@@ -16,10 +16,10 @@ TileMemory::TileMemory(const MemParams &params)
 }
 
 void
-TileMemory::setTraceTile(int tile)
+TileMemory::setTracer(obs::Tracer *tracer, int tile)
 {
-    icache_.setTraceContext(tile, "icache");
-    dcache_.setTraceContext(tile, "dcache");
+    icache_.setTracer(tracer, tile, "icache");
+    dcache_.setTracer(tracer, tile, "dcache");
 }
 
 void

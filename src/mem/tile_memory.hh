@@ -64,8 +64,8 @@ class TileMemory
      */
     Cycles fetch(Addr wa, int words, Cycles now = 0);
 
-    /** Tag this memory's caches with their tile's trace track. */
-    void setTraceTile(int tile);
+    /** Record cache misses on `tile`'s track of `tracer` (null: off). */
+    void setTracer(obs::Tracer *tracer, int tile);
 
     // -----------------------------------------------------------------
     // Compiled-backend fast paths (src/jit/). Each is the body of one

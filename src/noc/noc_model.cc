@@ -7,8 +7,8 @@
 namespace stitch::noc
 {
 
-NocModel::NocModel(const NocParams &params)
-    : params_(params),
+NocModel::NocModel(const NocParams &params, obs::Tracer *tracer)
+    : params_(params), tracer_(tracer),
       linkFree_(static_cast<std::size_t>(numLinks), 0),
       linkBusy_(static_cast<std::size_t>(numLinks), 0),
       rxQueues_(static_cast<std::size_t>(numTiles)),
@@ -103,10 +103,10 @@ NocModel::send(TileId src, TileId dst, int tag, Word value, Cycles now,
     Cycles arrival = head + static_cast<Cycles>(params_.dataFlits - 1) +
                      params_.nicEject + extraLatency;
 
-    if (obs::Tracer::enabled()) {
+    if (tracer_) {
         // One slice per packet on the source tile's NoC row, spanning
         // injection to arrival at the destination NIC.
-        obs::Tracer::instance().slice(
+        tracer_->slice(
             obs::Tracer::pidNoc, src,
             src == dst ? "pkt local" : "pkt", now, arrival,
             {{"src", static_cast<std::uint64_t>(src)},

@@ -50,7 +50,9 @@ struct NocParams
 class NocModel : public cpu::MessageHub
 {
   public:
-    explicit NocModel(const NocParams &params = NocParams{});
+    /** `tracer` (null = off) records one slice per packet. */
+    explicit NocModel(const NocParams &params = NocParams{},
+                      obs::Tracer *tracer = nullptr);
 
     Cycles send(TileId src, TileId dst, int tag, Word value,
                 Cycles now) override;
@@ -110,6 +112,7 @@ class NocModel : public cpu::MessageHub
     std::vector<TileId> xyRoute(TileId src, TileId dst) const;
 
     NocParams params_;
+    obs::Tracer *tracer_;
     std::vector<Cycles> linkFree_; ///< next free cycle per link
     std::vector<Cycles> linkBusy_; ///< flit-carrying cycles per link
     std::vector<std::deque<Message>> rxQueues_; ///< per destination

@@ -22,11 +22,11 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "common/cli.hh"
 #include "obs/registry.hh"
-#include "obs/sampler.hh"
 #include "obs/trace.hh"
 
 namespace stitch::obs
@@ -80,29 +80,23 @@ struct CliOptions
         return false;
     }
 
-    /** Apply the switches: verbosity now, tracing/sampling from here
-     *  on. */
+    /** Apply the switches: verbosity now, and open the --trace file
+     *  that tracer() then hands to every run of this harness. */
     void
-    begin() const
+    begin()
     {
         if (verbose)
             Registry::setVerbosity(Verbosity::Info);
         if (!tracePath.empty())
-            Tracer::instance().start(tracePath);
-        if (profileInterval > 0)
-            Sampler::instance().start(profileInterval);
+            tracer_ = std::make_unique<Tracer>(tracePath);
     }
 
-    /** Close an open trace / sampler (call once on harness exit).
-     *  Sampler windows stay readable for the speedscope export. */
-    void
-    end() const
-    {
-        if (Tracer::enabled())
-            Tracer::instance().stop();
-        if (Sampler::enabled())
-            Sampler::instance().stop();
-    }
+    /** The harness's trace (null without --trace); the document is
+     *  closed when these options are destroyed. */
+    Tracer *tracer() const { return tracer_.get(); }
+
+  private:
+    std::unique_ptr<Tracer> tracer_;
 };
 
 } // namespace stitch::obs

@@ -5,28 +5,10 @@
 namespace stitch::obs
 {
 
-Sampler &
-Sampler::instance()
-{
-    static Sampler sampler;
-    return sampler;
-}
-
-void
-Sampler::start(Cycles interval)
+Sampler::Sampler(Cycles interval) : interval_(interval)
 {
     if (interval == 0)
         fatal("sampler interval must be at least one cycle");
-    interval_ = interval;
-    seriesNames_.clear();
-    tracks_.clear();
-    enabledFlag_ = true;
-}
-
-void
-Sampler::stop()
-{
-    enabledFlag_ = false;
 }
 
 void

@@ -2,12 +2,14 @@
  * @file
  * Fixed-window interval sampler for cycle-attribution timelines.
  *
- * Like the Tracer, one process-wide instance guarded by an inline
- * enabled() flag: simulation loops test one predictable branch and pay
- * nothing when no harness asked for interval profiling
- * (--profile=INTERVAL). When enabled, the producer (sim::System's run
- * loop) feeds per-track cycle deltas tagged with a small series index;
- * the sampler bins them into fixed windows of `interval` cycles.
+ * Like the Tracer, an ordinary object a run is handed:
+ * apps::AppRunner builds one for its measured run when
+ * apps::RunConfig::profileInterval is set (--profile=INTERVAL), passes
+ * it through sim::SystemParams::sampler (null = off, one predictable
+ * branch) and keeps it as AppRunResult::timeline. The producer
+ * (sim::System's run loop) feeds per-track cycle deltas tagged with a
+ * small series index; the sampler bins them into fixed windows of
+ * `interval` cycles.
  *
  * The sampler is deliberately generic — tracks are small integers
  * (tile ids) and series are named by the producer at beginRun() — so
@@ -33,7 +35,7 @@
 namespace stitch::obs
 {
 
-/** Process-wide interval profiler (timeline of attribution buckets). */
+/** Interval profiler of one run (timeline of attribution buckets). */
 class Sampler
 {
   public:
@@ -46,22 +48,13 @@ class Sampler
         std::array<std::uint64_t, maxSeries> cycles{};
     };
 
-    static Sampler &instance();
-
-    /** Hot-path guard: true between start() and stop(). */
-    static bool enabled() { return enabledFlag_; }
-
-    /** Enable sampling with `interval`-cycle windows; clears data. */
-    void start(Cycles interval);
-
-    /** Disable sampling; collected windows stay readable for export. */
-    void stop();
+    /** Sample `interval`-cycle windows; fatal if `interval` is 0. */
+    explicit Sampler(Cycles interval = 1000);
 
     /**
      * Producer handshake at the start of one simulated run: name the
      * series and drop any previous run's windows, so the timeline
-     * always describes the most recent run (the same convention the
-     * --report artifact follows).
+     * always describes the most recent run.
      */
     void beginRun(const std::vector<std::string> &seriesNames);
 
@@ -90,9 +83,7 @@ class Sampler
     }
 
   private:
-    static inline bool enabledFlag_ = false;
-
-    Cycles interval_ = 1000;
+    Cycles interval_;
     std::vector<std::string> seriesNames_;
     std::map<int, std::vector<Window>> tracks_;
 };

@@ -1,49 +1,30 @@
 #include "obs/trace.hh"
 
-#include "common/logging.hh"
 #include "common/table.hh"
 #include "obs/json.hh"
 
 namespace stitch::obs
 {
 
-Tracer &
-Tracer::instance()
+Tracer::Tracer(const std::string &path)
+    : out_(openArtifactFile(path)) // typed error on unwritable path
 {
-    static Tracer tracer;
-    return tracer;
-}
-
-void
-Tracer::start(const std::string &path)
-{
-    if (enabledFlag_)
-        fatal("tracer already recording; stop() the previous trace");
-    out_ = openArtifactFile(path); // typed error on unwritable path
-    first_ = true;
-    events_ = 0;
-    tailWritten_ = false;
     std::fputs("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[", out_);
-    enabledFlag_ = true;
     emitHeader();
 }
 
-void
-Tracer::stop()
+Tracer::~Tracer()
 {
-    if (!enabledFlag_)
-        return;
-    enabledFlag_ = false;
     retractTail();
     std::fputs("\n]}\n", out_);
     std::fclose(out_);
-    out_ = nullptr;
 }
 
 void
 Tracer::flush()
 {
-    if (!enabledFlag_ || tailWritten_)
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (tailWritten_)
         return;
     tailPos_ = std::ftell(out_);
     std::fputs("\n]}\n", out_);
@@ -56,7 +37,7 @@ Tracer::retractTail()
 {
     if (!tailWritten_)
         return;
-    // Later events (and stop()'s final tail) overwrite the
+    // Later events (and the destructor's final tail) overwrite the
     // provisional one; they are never shorter than what they replace,
     // so no stale bytes survive past the new end of the document.
     std::fseek(out_, tailPos_, SEEK_SET);
@@ -68,22 +49,18 @@ Tracer::emitHeader()
 {
     metadata(pidTiles, 0, "process_name", "tiles");
     metadata(pidNoc, 0, "process_name", "noc");
-    metadata(pidSnoc, 0, "process_name", "snoc");
     metadata(pidSvc, 0, "process_name", "svc");
     for (TileId t = 0; t < numTiles; ++t) {
         metadata(pidTiles, t, "thread_name", strformat("tile%d", t));
         metadata(pidNoc, t, "thread_name",
                  strformat("from tile%d", t));
-        metadata(pidSnoc, t, "thread_name",
-                 strformat("patch%d", t));
     }
 }
 
 void
 Tracer::nameTrack(int pid, int tid, const std::string &name)
 {
-    if (!enabledFlag_)
-        return;
+    std::lock_guard<std::mutex> lock(mutex_);
     metadata(pid, tid, "thread_name", name);
 }
 
@@ -109,7 +86,6 @@ Tracer::event(char ph, int pid, int tid, const char *name, Cycles ts,
     if (!first_)
         std::fputc(',', out_);
     first_ = false;
-    ++events_;
     std::fprintf(out_,
                  "\n{\"name\":\"%s\",\"ph\":\"%c\",\"pid\":%d,"
                  "\"tid\":%d,\"ts\":%llu",
@@ -140,6 +116,7 @@ Tracer::slice(int pid, int tid, const char *name, Cycles start,
 {
     if (end <= start)
         return; // zero-length slices only clutter the viewer
+    std::lock_guard<std::mutex> lock(mutex_);
     event('X', pid, tid, name, start, end - start, args);
 }
 
@@ -147,6 +124,7 @@ void
 Tracer::instant(int pid, int tid, const char *name, Cycles ts,
                 std::initializer_list<Arg> args)
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     event('i', pid, tid, name, ts, 0, args);
 }
 

@@ -3,17 +3,22 @@
  * Cycle-level event tracer emitting Chrome trace_event JSON, loadable
  * in chrome://tracing or Perfetto (https://ui.perfetto.dev).
  *
- * One process-wide tracer: simulation hooks across cpu/mem/noc/sim
- * test the inline Tracer::enabled() flag (one predictable branch) and
- * pay the formatting cost only when a harness opened a trace with
- * --trace=FILE. Events stream straight to the file, so arbitrarily
- * long runs trace in O(1) memory.
+ * A Tracer is an ordinary object that a run is handed: a harness
+ * opens one per --trace=FILE (obs::CliOptions owns it) and passes its
+ * address through apps::RunConfig / sim::SystemParams::tracer, and
+ * sim::System hands it to the cores, caches and NoC model it owns.
+ * Each hook is guarded by `if (tracer_)` — one predictable branch, so
+ * an untraced run (null pointer) pays nothing else. Events stream
+ * straight to the file, so arbitrarily long runs trace in O(1)
+ * memory, and an internal mutex lets concurrent runs (sweep workers)
+ * share one file: each event is written whole, and one run's events
+ * keep their order.
  *
  * Track model: pid 1 ("tiles") carries one thread per tile with
- * coalesced exec slices, stall/wait slices and CUST/SEND/RECV
- * instants; pid 2 ("noc") carries per-source-tile packet slices
- * (src→dst, spanning injection to arrival); pid 3 ("snoc") carries
- * fused custom-instruction transfers with their hop counts.
+ * coalesced exec slices (args: the `custs` and `fused` custom
+ * instructions they retired), stall/wait slices, SEND/RECV instants
+ * and cache-miss markers; pid 2 ("noc") carries per-source-tile
+ * packet slices (src→dst, spanning injection to arrival).
  *
  * Timestamps are simulated cycles written in the `ts` microsecond
  * field verbatim: 1 µs in the viewer == 1 cycle.
@@ -25,6 +30,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
+#include <mutex>
 #include <string>
 
 #include "common/types.hh"
@@ -32,14 +38,13 @@
 namespace stitch::obs
 {
 
-/** Streaming Chrome trace_event writer. */
+/** Streaming Chrome trace_event writer for one trace file. */
 class Tracer
 {
   public:
     /** Well-known track (process) ids. */
     static constexpr int pidTiles = 1;
     static constexpr int pidNoc = 2;
-    static constexpr int pidSnoc = 3;
     /** Service-layer job spans (telem::SpanSink exports); ts is wall
      *  microseconds here, not simulated cycles. */
     static constexpr int pidSvc = 4;
@@ -51,16 +56,15 @@ class Tracer
         std::uint64_t value;
     };
 
-    static Tracer &instance();
-
-    /** Hot-path guard: true between start() and stop(). */
-    static bool enabled() { return enabledFlag_; }
-
-    /** Open `path` and start recording; fatal if already recording. */
-    void start(const std::string &path);
+    /** Open `path` (fault::ConfigError if unwritable) and start the
+     *  document. */
+    explicit Tracer(const std::string &path);
 
     /** Finish the JSON document and close the file. */
-    void stop();
+    ~Tracer();
+
+    Tracer(const Tracer &) = delete;
+    Tracer &operator=(const Tracer &) = delete;
 
     /**
      * Make the on-disk trace a valid JSON document *without* ending
@@ -84,9 +88,8 @@ class Tracer
      *  service job) whose count the header cannot know up front. */
     void nameTrack(int pid, int tid, const std::string &name);
 
-    std::uint64_t eventCount() const { return events_; }
-
   private:
+    // Callers hold mutex_.
     void emitHeader();
     void retractTail();
     void metadata(int pid, int tid, const char *what,
@@ -94,11 +97,9 @@ class Tracer
     void event(char ph, int pid, int tid, const char *name, Cycles ts,
                Cycles dur, std::initializer_list<Arg> args);
 
-    static inline bool enabledFlag_ = false;
-
+    std::mutex mutex_;
     std::FILE *out_ = nullptr;
     bool first_ = true;
-    std::uint64_t events_ = 0;
 
     /** Set while flush()'s provisional tail sits at tailPos_. */
     bool tailWritten_ = false;

@@ -182,9 +182,8 @@ profileJson(const Profile &p)
 }
 
 obs::Json
-samplerTimelineJson()
+samplerTimelineJson(const obs::Sampler &sampler)
 {
-    const auto &sampler = obs::Sampler::instance();
     if (!sampler.hasData())
         return obs::Json();
     obs::Json doc = obs::Json::object();

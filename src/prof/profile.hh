@@ -104,10 +104,11 @@ double runEnergyPj(const power::EnergyModel &model,
 obs::Json profileJson(const Profile &p);
 
 /**
- * The obs::Sampler's interval timeline as JSON (windows per tile per
- * bucket); Null if no sampling ran. Attach next to the profile.
+ * A run's interval timeline (AppRunResult::timeline) as JSON: windows
+ * per tile per bucket; Null if it sampled nothing. Attach next to the
+ * profile.
  */
-obs::Json samplerTimelineJson();
+obs::Json samplerTimelineJson(const obs::Sampler &sampler);
 
 } // namespace stitch::prof
 

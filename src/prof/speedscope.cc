@@ -45,7 +45,8 @@ profileEntry(const std::string &name, SampleSink &&sink)
 } // namespace
 
 obs::Json
-speedscopeDocument(const Profile &p, const std::string &name)
+speedscopeDocument(const Profile &p, const obs::Sampler &timeline,
+                   const std::string &name)
 {
     obs::Json doc = obs::Json::object();
     doc.set("$schema",
@@ -65,8 +66,6 @@ speedscopeDocument(const Profile &p, const std::string &name)
     shared.set("frames", frames);
     doc.set("shared", shared);
 
-    const auto &sampler = obs::Sampler::instance();
-    bool timeline = sampler.hasData();
 
     obs::Json profiles = obs::Json::array();
     for (const TileProfile &tp : p.tiles) {
@@ -74,9 +73,8 @@ speedscopeDocument(const Profile &p, const std::string &name)
         if (!tp.stage.empty())
             title += " " + tp.stage;
         SampleSink sink;
-        auto windows = timeline ? sampler.tracks().find(tp.tile)
-                                : sampler.tracks().end();
-        if (timeline && windows != sampler.tracks().end()) {
+        auto windows = timeline.tracks().find(tp.tile);
+        if (windows != timeline.tracks().end()) {
             for (const auto &w : windows->second)
                 for (int b = 0; b < sim::numCycleBuckets; ++b)
                     sink.add(b,
@@ -94,9 +92,9 @@ speedscopeDocument(const Profile &p, const std::string &name)
 
 void
 writeSpeedscope(const std::string &path, const Profile &p,
-                const std::string &name)
+                const obs::Sampler &timeline, const std::string &name)
 {
-    obs::writeJsonFile(path, speedscopeDocument(p, name));
+    obs::writeJsonFile(path, speedscopeDocument(p, timeline, name));
 }
 
 } // namespace stitch::prof

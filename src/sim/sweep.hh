@@ -6,11 +6,11 @@
  * The simulator itself is thread-compatible — a System, an AppRunner
  * call with an explicit apps::RunConfig, and everything under them
  * touch only their own state — so scenario sweeps (fault campaigns,
- * ablation grids) parallelise trivially. The two exceptions are the
- * process-wide observability sinks (obs::Tracer and obs::Sampler,
- * deliberately single-stream singletons): when either is enabled the
- * runner forces the sweep serial so traces and profiles stay coherent
- * and bit-identical to a `--jobs=1` run.
+ * ablation grids) parallelise trivially. Observability is per run
+ * too: a task's RunConfig may carry a shared obs::Tracer (internally
+ * locked, so each event lands whole and one run's events keep their
+ * order) and a profile interval (each run samples into its own
+ * obs::Sampler), so tracing never forces a sweep serial.
  *
  * Determinism: results land in `results[i]` no matter which worker
  * executed task i, and tasks share no mutable state, so the merged
@@ -36,14 +36,10 @@ namespace stitch::sim
 class SweepRunner
 {
   public:
-    /**
-     * @param jobs requested worker count; clamped to >= 1 and forced
-     *             to 1 while tracing or interval profiling is active
-     *             (they write to process-wide sinks).
-     */
-    explicit SweepRunner(int jobs = 1);
+    /** @param jobs requested worker count; clamped to >= 1. */
+    explicit SweepRunner(int jobs = 1) : jobs_(jobs < 1 ? 1 : jobs) {}
 
-    /** The worker count actually in effect. */
+    /** The worker count in effect. */
     int jobs() const { return jobs_; }
 
     /**

@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "isa/assembler.hh"
-#include "obs/sampler.hh"
 #include "obs/trace.hh"
 
 namespace stitch::sim
@@ -122,15 +121,16 @@ validateParams(const SystemParams &params)
 } // namespace
 
 System::System(const SystemParams &params)
-    : params_(params), noc_(params.noc), injector_(/*deferred*/)
+    : params_(params), noc_(params.noc, params.tracer),
+      injector_(/*deferred*/)
 {
     validateParams(params_);
     injector_ = fault::FaultInjector(params_.faults);
     for (TileId t = 0; t < numTiles; ++t) {
         Tile &tile = tiles_[static_cast<std::size_t>(t)];
         tile.memory = std::make_unique<mem::TileMemory>(params_.mem);
-        tile.core = std::make_unique<cpu::Core>(t, *tile.memory, this,
-                                                this);
+        tile.core = std::make_unique<cpu::Core>(
+            t, *tile.memory, this, this, params_.tracer);
         tile.spmPort =
             std::make_unique<cpu::TileSpmPort>(*tile.memory);
         if (params_.accel == AccelMode::Locus)
@@ -253,8 +253,8 @@ System::configureSnoc(const core::SnocConfig &snoc)
                       "crossbar preset did not land");
         tile.loaded = false;
     }
-    // Kept so fused-CUST trace events can attribute their routed sNoC
-    // hop counts at simulation time.
+    // Kept so fused CUSTs can attribute their routed sNoC hop counts
+    // at simulation time.
     snocCfg_ = snoc;
 }
 
@@ -352,8 +352,8 @@ System::executeCustom(TileId t, std::uint64_t blob,
         else
             res.rd1 ^= Word{1} << *bit;
         ++*bitFlips_;
-        if (obs::Tracer::enabled()) {
-            obs::Tracer::instance().instant(
+        if (params_.tracer) {
+            params_.tracer->instant(
                 obs::Tracer::pidTiles, t, "FAULT bit-flip",
                 tile.core->time(),
                 {{"bit", static_cast<std::uint64_t>(*bit)}});
@@ -371,13 +371,6 @@ System::executeCustom(TileId t, std::uint64_t blob,
             snocCfg_.fusionHops(t, partner));
         *snocHops_ += hops;
         *pc.snocHops += hops;
-        if (obs::Tracer::enabled()) {
-            obs::Tracer::instance().instant(
-                obs::Tracer::pidSnoc, t, "fused CUST",
-                tile.core->time(),
-                {{"remote", static_cast<std::uint64_t>(partner)},
-                 {"hops", hops}});
-        }
     }
     return res;
 }
@@ -392,8 +385,8 @@ System::send(TileId src, TileId dst, int tag, Word value, Cycles now)
             // send); only the receiver can notice, as a deadlock the
             // run loop will diagnose.
             ++*msgsDropped_;
-            if (obs::Tracer::enabled()) {
-                obs::Tracer::instance().instant(
+            if (params_.tracer) {
+                params_.tracer->instant(
                     obs::Tracer::pidNoc, src, "FAULT pkt dropped",
                     now,
                     {{"dst", static_cast<std::uint64_t>(dst)},
@@ -438,11 +431,10 @@ System::sampleStep(TileId t)
     auto now = bucketsNow(t);
     auto &last = sampledBuckets_[static_cast<std::size_t>(t)];
     Cycles time = tiles_[static_cast<std::size_t>(t)].core->time();
-    auto &sampler = obs::Sampler::instance();
     for (int b = 0; b < numCycleBuckets; ++b) {
         auto i = static_cast<std::size_t>(b);
         if (now[i] != last[i])
-            sampler.add(t, time, b, now[i] - last[i]);
+            params_.sampler->add(t, time, b, now[i] - last[i]);
     }
     last = now;
 }
@@ -465,8 +457,8 @@ System::noteDeadlock(RunStats &stats)
         }
         diag.pc = tile.core->pc();
         diag.time = tile.core->time();
-        if (obs::Tracer::enabled()) {
-            obs::Tracer::instance().instant(
+        if (params_.tracer) {
+            params_.tracer->instant(
                 obs::Tracer::pidTiles, t, "DEADLOCK blocked",
                 diag.time,
                 {{"src",
@@ -485,11 +477,11 @@ System::dispatch(RunStats &stats, std::uint64_t maxInstructions)
 {
     // One advance policy per run (table at SchedulerKind).
     enum class Advance { Step, ExactSlice, RelaxedSlice, Compiled };
-    const bool sampling = obs::Sampler::enabled();
+    const bool sampling = params_.sampler != nullptr;
     Advance advance = Advance::Compiled;
     if (params_.scheduler == SchedulerKind::Step || sampling)
         advance = Advance::Step;
-    else if (obs::Tracer::enabled() || injector_.active() ||
+    else if (params_.tracer || injector_.active() ||
              maxInstructions < runawayInstructionBudget)
         advance = Advance::ExactSlice;
     else if (params_.scheduler == SchedulerKind::Slice)
@@ -640,8 +632,8 @@ System::run(std::uint64_t maxInstructions)
     // they must not wake anyone in the next run.
     sentThisStep_.clear();
 
-    if (obs::Sampler::enabled()) {
-        obs::Sampler::instance().beginRun(cycleBucketNames());
+    if (params_.sampler) {
+        params_.sampler->beginRun(cycleBucketNames());
         // Baseline the deltas at the counters' current values (zero
         // after loadProgram, but not if the same program runs twice).
         for (TileId t = 0; t < numTiles; ++t)
@@ -652,11 +644,11 @@ System::run(std::uint64_t maxInstructions)
     dispatch(stats, maxInstructions);
 
     // A run cut short (deadlock, fault, step budget) may never reach
-    // the harness's orderly Tracer::stop(): make the on-disk trace a
-    // valid JSON document now, at zero cost to completed runs.
+    // the harness's orderly ~Tracer: make the on-disk trace a valid
+    // JSON document now, at zero cost to completed runs.
     if (stats.termination != fault::Termination::Completed &&
-        obs::Tracer::enabled())
-        obs::Tracer::instance().flush();
+        params_.tracer)
+        params_.tracer->flush();
 
     collectRunStats(stats);
     return stats;

@@ -28,6 +28,7 @@
 #include "mem/tile_memory.hh"
 #include "noc/noc_model.hh"
 #include "obs/registry.hh"
+#include "obs/sampler.hh"
 #include "sim/sched.hh"
 
 namespace stitch::sim
@@ -51,8 +52,8 @@ enum class AccelMode
  *
  *  | chosen when                                 | advance           |
  *  |---------------------------------------------|-------------------|
- *  | Step, or the interval sampler is on         | Core::step()      |
- *  | tracer on, injector active, or a budget     | exact runSlice    |
+ *  | Step, or a sampler is set                   | Core::step()      |
+ *  | tracer set, injector active, or a budget    | exact runSlice    |
  *  |   below runawayInstructionBudget            |                   |
  *  | Slice                                       | relaxed runSlice  |
  *  | Compiled                                    | Core::runCompiled |
@@ -117,6 +118,22 @@ struct SystemParams
      * every run byte-identical to a token-free build.
      */
     const std::atomic<bool> *abortFlag = nullptr;
+
+    /**
+     * Event trace of this run (null = off). The System hands it to
+     * the cores, caches and NoC model it owns; every hook is one
+     * predictable `if (tracer_)` branch, and a traced run is
+     * bit-identical to an untraced one. Concurrent runs may share a
+     * tracer.
+     */
+    obs::Tracer *tracer = nullptr;
+
+    /**
+     * Interval sampler of this run (null = off): run() feeds it the
+     * per-tile cycle-bucket deltas of every step. Owned by the
+     * caller, one per concurrently running System.
+     */
+    obs::Sampler *sampler = nullptr;
 };
 
 /** Per-tile activity of one run. */

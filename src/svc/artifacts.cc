@@ -18,10 +18,9 @@ appReportJson(const apps::AppRunResult &res,
             res.stats, res.stageBindings,
             static_cast<std::uint64_t>(res.samplesLong));
         doc.set("profile", prof::profileJson(profile));
-        if (options.timeline)
-            if (auto timeline = prof::samplerTimelineJson();
-                !timeline.isNull())
-                doc.set("profile_timeline", timeline);
+        if (auto timeline = prof::samplerTimelineJson(res.timeline);
+            !timeline.isNull())
+            doc.set("profile_timeline", timeline);
     }
     if (options.energy) {
         auto model = power::EnergyModel::standard();

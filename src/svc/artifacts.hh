@@ -20,12 +20,9 @@ namespace stitch::svc
 /** Which optional sections to attach to the base run report. */
 struct ReportOptions
 {
-    bool profile = false; ///< report-v3 "profile" attribution section
-
-    /** Attach the obs::Sampler interval timeline when one was
-     *  recorded (engine runs never sample, so the key is absent
-     *  there either way). Only meaningful with `profile`. */
-    bool timeline = true;
+    /** Report-v3 "profile" attribution section, followed by the
+     *  run's "profile_timeline" when it sampled one. */
+    bool profile = false;
 
     bool energy = false; ///< compact "energy" section (pJ / avg mW)
 };

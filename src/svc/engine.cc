@@ -5,8 +5,6 @@
 
 #include "common/logging.hh"
 #include "obs/buildinfo.hh"
-#include "obs/sampler.hh"
-#include "obs/trace.hh"
 #include "svc/artifacts.hh"
 #include "telem/exposition.hh"
 
@@ -707,14 +705,6 @@ JobEngine::run()
         workers = static_cast<int>(std::thread::hardware_concurrency());
     if (workers < 1)
         workers = 1;
-    if (workers > 1 &&
-        (obs::Tracer::enabled() || obs::Sampler::enabled())) {
-        // Same rule as sim::SweepRunner: the trace and profile sinks
-        // are process-wide single streams.
-        warn("job engine forced to --jobs=1: tracing/profiling write "
-             "to process-wide sinks");
-        workers = 1;
-    }
 
     std::size_t pending = 0;
     {

@@ -101,8 +101,7 @@ inline constexpr int serviceReportVersion = 3;
 /** Engine construction knobs. */
 struct EngineOptions
 {
-    /** Worker threads; 0 = hardware concurrency. Forced to 1 while
-     *  the process-wide trace/profile sinks are enabled. */
+    /** Worker threads; 0 = hardware concurrency. */
     int jobs = 1;
 
     /** On-disk cache directory; empty disables the disk layer. */

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "common/logging.hh"
 #include "common/table.hh"
-#include "fault/fault.hh"
 #include "obs/trace.hh"
 
 namespace stitch::telem
@@ -101,11 +99,6 @@ SpanSink::clear()
 void
 SpanSink::writeChromeTrace(const std::string &path) const
 {
-    if (obs::Tracer::enabled())
-        throw fault::ConfigError(
-            "cannot export the service trace while a simulation "
-            "trace is recording (one process-wide tracer)");
-
     std::vector<Span> spans = snapshot();
     // Stable viewer layout: one lane per job, spans in time order
     // within the lane so the envelope comes out before its stages.
@@ -118,8 +111,7 @@ SpanSink::writeChromeTrace(const std::string &path) const
                   return a.endUs > b.endUs; // envelope first
               });
 
-    obs::Tracer &tracer = obs::Tracer::instance();
-    tracer.start(path);
+    obs::Tracer tracer(path);
     int namedUpTo = -1;
     for (const Span &span : spans) {
         if (span.jobId > namedUpTo) {
@@ -139,7 +131,6 @@ SpanSink::writeChromeTrace(const std::string &path) const
                                              : static_cast<unsigned>(
                                                    span.worker))}});
     }
-    tracer.stop();
 }
 
 void

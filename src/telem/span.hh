@@ -104,11 +104,11 @@ class SpanSink
     void clear();
 
     /**
-     * Write every recorded span as a Chrome trace through the
-     * process-wide obs::Tracer: pid 4 ("svc"), one lane per job id,
+     * Write every recorded span as a Chrome trace through an
+     * obs::Tracer of its own: pid 4 ("svc"), one lane per job id,
      * stage slices nested inside the job envelope, trace id and
-     * worker as event args. Throws fault::ConfigError when the
-     * tracer is already recording a simulation trace.
+     * worker as event args. Throws fault::ConfigError on an
+     * unwritable path.
      */
     void writeChromeTrace(const std::string &path) const;
 

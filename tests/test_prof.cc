@@ -273,14 +273,14 @@ TEST(ProfileJsonTest, CarriesTilesStagesAndLimiting)
 
 TEST(Speedscope, DocumentIsStructurallyValid)
 {
-    ASSERT_FALSE(obs::Sampler::enabled());
     sim::SystemParams params;
     params.accel = sim::AccelMode::None;
     sim::System system(params);
     auto stats = runPingPong(system);
     auto p = buildProfile(stats);
 
-    obs::Json doc = obs::Json::parse(speedscopeDocument(p).dump(2));
+    obs::Json doc = obs::Json::parse(
+        speedscopeDocument(p, obs::Sampler()).dump(2));
     EXPECT_EQ(doc.get("$schema").asString(),
               "https://www.speedscope.app/file-format-schema.json");
     const obs::Json &frames = doc.get("shared").get("frames");
@@ -308,14 +308,13 @@ TEST(Speedscope, DocumentIsStructurallyValid)
 /** With --profile on, window sums must conserve every bucket. */
 TEST(SamplerTimeline, WindowSumsEqualAggregateBuckets)
 {
-    obs::Sampler::instance().start(64);
+    obs::Sampler sampler(64);
     sim::SystemParams params;
     params.accel = sim::AccelMode::None;
+    params.sampler = &sampler;
     sim::System system(params);
     auto stats = runPingPong(system);
-    obs::Sampler::instance().stop();
 
-    const auto &sampler = obs::Sampler::instance();
     ASSERT_TRUE(sampler.hasData());
     ASSERT_EQ(sampler.seriesNames(), sim::cycleBucketNames());
 
@@ -334,33 +333,28 @@ TEST(SamplerTimeline, WindowSumsEqualAggregateBuckets)
     }
 
     obs::Json timeline =
-        obs::Json::parse(samplerTimelineJson().dump(2));
+        obs::Json::parse(samplerTimelineJson(sampler).dump(2));
     EXPECT_EQ(timeline.get("interval_cycles").asUint(), 64u);
     EXPECT_EQ(timeline.get("series").size(),
               static_cast<std::size_t>(sim::numCycleBuckets));
     EXPECT_TRUE(timeline.get("tracks").has("tile0"));
-
-    // Leave no data behind for later tests in this binary.
-    obs::Sampler::instance().start(1000);
-    obs::Sampler::instance().stop();
-    EXPECT_FALSE(obs::Sampler::instance().hasData());
+    EXPECT_TRUE(samplerTimelineJson(obs::Sampler()).isNull());
 }
 
 /** The profiler must observe, never perturb: stats are bit-identical
  *  with the sampler on and off. */
 TEST(SamplerTimeline, EnabledRunIsBitIdenticalToDisabledRun)
 {
-    ASSERT_FALSE(obs::Sampler::enabled());
     sim::SystemParams params;
     params.accel = sim::AccelMode::None;
 
     sim::System off(params);
     auto offStats = runPingPong(off);
 
-    obs::Sampler::instance().start(128);
+    obs::Sampler sampler(128);
+    params.sampler = &sampler;
     sim::System on(params);
     auto onStats = runPingPong(on);
-    obs::Sampler::instance().stop();
 
     EXPECT_EQ(onStats.makespan, offStats.makespan);
     EXPECT_EQ(onStats.instructions, offStats.instructions);
@@ -374,9 +368,6 @@ TEST(SamplerTimeline, EnabledRunIsBitIdenticalToDisabledRun)
         EXPECT_EQ(sim::cycleBuckets(a), sim::cycleBuckets(b))
             << "tile " << t;
     }
-
-    obs::Sampler::instance().start(1000);
-    obs::Sampler::instance().stop();
 }
 
 } // namespace

@@ -25,7 +25,10 @@
 
 #include <gtest/gtest.h>
 
+#include "isa/assembler.hh"
 #include "obs/json.hh"
+#include "obs/sampler.hh"
+#include "sim/system.hh"
 #include "svc/cache.hh"
 #include "svc/engine.hh"
 #include "svc/job.hh"
@@ -565,6 +568,44 @@ TEST(JobEngine, ResultsDoNotDependOnWorkerCount)
     auto serial = runBatch(1);
     auto threaded = runBatch(4);
     EXPECT_EQ(serial, threaded);
+}
+
+/**
+ * A profile job's report is a pure function of its spec: a timeline
+ * sampled by an unrelated earlier run in the same process must not
+ * leak into it as "profile_timeline".
+ */
+TEST(JobEngine, ProfileReportCarriesNoStaleTimeline)
+{
+    auto profileReport = [] {
+        JobEngine engine;
+        JobSpec spec = cheapSpec();
+        spec.artifacts.profile = true;
+        const int id = engine.submit(spec);
+        engine.run();
+        return engine.result(id).report.dump();
+    };
+    const std::string clean = profileReport();
+
+    obs::Sampler sampler(16);
+    sim::SystemParams params;
+    params.accel = sim::AccelMode::None;
+    params.sampler = &sampler;
+    sim::System system(params);
+    isa::Assembler a("spin");
+    a.li(isa::reg::t0, 7);
+    a.halt();
+    compiler::RewrittenProgram binary;
+    binary.program = a.finish();
+    system.loadProgram(0, binary);
+    system.run();
+    ASSERT_TRUE(sampler.hasData());
+
+    const std::string after = profileReport();
+    obs::Json doc = obs::Json::parse(after);
+    EXPECT_TRUE(doc.has("profile"));
+    EXPECT_FALSE(doc.has("profile_timeline"));
+    EXPECT_EQ(after, clean);
 }
 
 TEST(JobEngine, InstructionBudgetMapsToInstructionLimit)

@@ -1,5 +1,6 @@
 # Test driver: run smoke_app with the observability switches and
-# assert that both artifacts are valid JSON (python3 -m json.tool).
+# assert that both artifacts are valid JSON (python3 -m json.tool)
+# and that the APP1 trace stays within its 5 MB size budget.
 # Invoked by the obs_artifacts_are_valid_json ctest entry with
 # -DSMOKE_APP=... -DPYTHON=... -DOUT_DIR=...
 
@@ -26,3 +27,13 @@ foreach(artifact IN ITEMS "${report}" "${trace}")
         message(FATAL_ERROR "${artifact} is not valid JSON")
     endif()
 endforeach()
+
+# The exec slices count their CUSTs instead of one instant per CUST,
+# which keeps the four-mode APP1 trace near 1 MB.
+set(max_trace_bytes 5000000)
+file(SIZE "${trace}" trace_bytes)
+if(trace_bytes GREATER max_trace_bytes)
+    message(FATAL_ERROR
+            "${trace} is ${trace_bytes} bytes, over the "
+            "${max_trace_bytes}-byte budget")
+endif()

@@ -59,6 +59,8 @@ main(int argc, char **argv)
     runner.setScheduler(scheduler);
     apps::RunConfig runCfg = runner.config();
     runCfg.dumpTraces = dumpTraces;
+    runCfg.tracer = obsOpts.tracer();
+    runCfg.profileInterval = obsOpts.profileInterval;
     const apps::AppRunResult *last = nullptr;
     static apps::AppRunResult lastStorage;
     for (auto &app : apps::allApps()) {
@@ -98,7 +100,6 @@ main(int argc, char **argv)
         }
     }
 
-    obsOpts.end();
     if (last && dumpHot) {
         std::printf("hot blocks (last run):\n");
         for (const auto &hb : last->stats.hotBlocks)
@@ -129,7 +130,8 @@ main(int argc, char **argv)
                 obsOpts.speedscopePath,
                 prof::buildProfile(
                     last->stats, last->stageBindings,
-                    static_cast<std::uint64_t>(last->samplesLong)));
+                    static_cast<std::uint64_t>(last->samplesLong)),
+                last->timeline);
     }
     return 0;
 }

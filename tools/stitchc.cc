@@ -62,8 +62,6 @@ main(int argc, char **argv)
             kernel = argv[i];
         }
     }
-    if (obsOpts.verbose)
-        obs::Registry::setVerbosity(Verbosity::Info);
     if (kernel.empty()) {
         std::fprintf(stderr,
                      "usage: stitchc <kernel> [--listing] [--dfg] "
@@ -71,6 +69,7 @@ main(int argc, char **argv)
                      "[--stats=FILE] [--verbose] | --list\n");
         return 2;
     }
+    obsOpts.begin();
 
     auto input = kernels::kernelByName(kernel).build({});
     auto compiled = compiler::compileKernel(kernel, input);
@@ -141,11 +140,9 @@ main(int argc, char **argv)
         // Observed re-run of the best stitched binary on a standalone
         // tile (the measurement runs above stay untraced so the trace
         // covers exactly one execution).
-        if (!obsOpts.tracePath.empty())
-            obs::Tracer::instance().start(obsOpts.tracePath);
         mem::TileMemory memory{mem::MemParams{}};
         cpu::LocalPatchHandler handler(best->target.local, memory);
-        cpu::Core core(0, memory, &handler, nullptr);
+        cpu::Core core(0, memory, &handler, nullptr, obsOpts.tracer());
         obs::Registry registry;
         registry.add("tile0.core", core.stats());
         registry.add("tile0.mem", memory.stats());
@@ -153,7 +150,6 @@ main(int argc, char **argv)
         registry.add("tile0.dcache", memory.dcache().stats());
         core.loadProgram(best->binary.program);
         core.runToHalt();
-        obsOpts.end();
 
         sim::RunStats stats;
         const StatGroup &cs = core.stats();
