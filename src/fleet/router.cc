@@ -32,6 +32,30 @@ cmdRequest(const char *cmd)
     return doc;
 }
 
+/**
+ * The shard's response frame, still unparsed, with the router's two
+ * annotations spliced in before its closing brace -- the key order a
+ * parse-and-set() would give. Only the first and last bytes are
+ * checked: a frame that is not one object answers a typed "internal"
+ * error, as a failed parse would.
+ */
+obs::Json
+annotatedRelay(std::string frame, const std::string &shard,
+               int attempts)
+{
+    if (frame.size() < 2 || frame.front() != '{' ||
+        frame.back() != '}')
+        return svc::errorResponseJson(
+            "internal", "shard " + shard +
+                            " answered a frame that is not one JSON "
+                            "object");
+    const std::string splice = detail::formatMessage(
+        frame.size() == 2 ? "" : ",", "\"shard\":", obs::Json(shard).dump(),
+        ",\"router_attempts\":", attempts);
+    frame.insert(frame.size() - 1, splice);
+    return obs::Json::fromCompact(std::move(frame));
+}
+
 } // namespace
 
 Router::Router(const RouterOptions &options)
@@ -140,9 +164,9 @@ Router::routeJob(const obs::Json &request)
                 std::lock_guard<std::mutex> lock(mutex_);
                 ++stats_.failoverReroutes;
             }
-            obs::Json response;
+            std::string frame;
             try {
-                response = svc::requestReport(
+                frame = svc::requestFrame(
                     shard.endpoint.host, shard.endpoint.port,
                     request, /*chaos=*/nullptr,
                     /*requestIndex=*/key64,
@@ -175,11 +199,8 @@ Router::routeJob(const obs::Json &request)
                 ++shard.routed;
                 ++stats_.jobsRouted;
             }
-            if (response.isObject()) {
-                response.set("shard", shard.endpoint.name());
-                response.set("router_attempts", attempt);
-            }
-            return response;
+            return annotatedRelay(std::move(frame),
+                                  shard.endpoint.name(), attempt);
         }
     }
     {

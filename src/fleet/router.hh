@@ -5,7 +5,10 @@
  *
  * Job path: a stitch-job document routes by its canonical cacheKey()
  * through the consistent-hash ring (fleet/ring.hh), so duplicates of
- * a job always land on the same shard and dedup there. A shard that
+ * a job always land on the same shard and dedup there. The route is
+ * decided once, from the key; the shard's response frame then passes
+ * through as bytes (Json::fromCompact), with `shard` and
+ * `router_attempts` spliced in and nothing parsed. A shard that
  * fails at the transport level (connect refused, framing failure,
  * socket timeout) is marked dead and the job regains its place on
  * the ring's preference list — the failover hop is counted

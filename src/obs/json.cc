@@ -1,11 +1,14 @@
 #include "obs/json.hh"
 
-#include <cctype>
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "fault/fault.hh"
@@ -13,44 +16,102 @@
 namespace stitch::obs
 {
 
+/** The shared node behind every copy of a frozen value. */
+struct Json::Frozen
+{
+    std::string compact;
+    mutable std::once_flag built;
+    mutable Json tree;
+
+    const Json &
+    view() const
+    {
+        std::call_once(built, [this] { tree = Json::parse(compact); });
+        return tree;
+    }
+};
+
+Json
+Json::freeze(Json tree)
+{
+    if (tree.frozen_)
+        return tree;
+    auto node = std::make_shared<Frozen>();
+    node->compact = tree.dump();
+    std::call_once(node->built,
+                   [&] { node->tree = std::move(tree); });
+    Json frozen;
+    frozen.frozen_ = std::move(node);
+    return frozen;
+}
+
+Json
+Json::fromCompact(std::string text)
+{
+    auto node = std::make_shared<Frozen>();
+    node->compact = std::move(text);
+    Json frozen;
+    frozen.frozen_ = std::move(node);
+    return frozen;
+}
+
+const Json &
+Json::frozenTree() const
+{
+    return frozen_->view();
+}
+
+void
+Json::thaw()
+{
+    if (frozen_)
+        *this = Json(frozen_->view());
+}
+
 bool
 Json::asBool() const
 {
-    STITCH_ASSERT(kind_ == Kind::Bool, "JSON value is not a bool");
-    return bool_;
+    const Json &v = view();
+    STITCH_ASSERT(v.kind_ == Kind::Bool, "JSON value is not a bool");
+    return v.bool_;
 }
 
 std::uint64_t
 Json::asUint() const
 {
-    if (kind_ == Kind::Double) {
-        STITCH_ASSERT(double_ >= 0 && double_ == std::floor(double_),
+    const Json &v = view();
+    if (v.kind_ == Kind::Double) {
+        STITCH_ASSERT(v.double_ >= 0 &&
+                          v.double_ == std::floor(v.double_),
                       "JSON number is not an exact non-negative int");
-        return static_cast<std::uint64_t>(double_);
+        return static_cast<std::uint64_t>(v.double_);
     }
-    STITCH_ASSERT(kind_ == Kind::Int, "JSON value is not an integer");
-    return int_;
+    STITCH_ASSERT(v.kind_ == Kind::Int, "JSON value is not an integer");
+    return v.int_;
 }
 
 double
 Json::asDouble() const
 {
-    if (kind_ == Kind::Int)
-        return static_cast<double>(int_);
-    STITCH_ASSERT(kind_ == Kind::Double, "JSON value is not a number");
-    return double_;
+    const Json &v = view();
+    if (v.kind_ == Kind::Int)
+        return static_cast<double>(v.int_);
+    STITCH_ASSERT(v.kind_ == Kind::Double, "JSON value is not a number");
+    return v.double_;
 }
 
 const std::string &
 Json::asString() const
 {
-    STITCH_ASSERT(kind_ == Kind::String, "JSON value is not a string");
-    return str_;
+    const Json &v = view();
+    STITCH_ASSERT(v.kind_ == Kind::String, "JSON value is not a string");
+    return v.str_;
 }
 
 void
 Json::push(Json v)
 {
+    thaw();
     STITCH_ASSERT(kind_ == Kind::Array, "push on a non-array");
     array_.push_back(std::move(v));
 }
@@ -58,20 +119,23 @@ Json::push(Json v)
 std::size_t
 Json::size() const
 {
-    return kind_ == Kind::Array ? array_.size() : object_.size();
+    const Json &v = view();
+    return v.kind_ == Kind::Array ? v.array_.size() : v.object_.size();
 }
 
 const Json &
 Json::at(std::size_t i) const
 {
-    STITCH_ASSERT(kind_ == Kind::Array && i < array_.size(),
+    const Json &v = view();
+    STITCH_ASSERT(v.kind_ == Kind::Array && i < v.array_.size(),
                   "JSON array index out of range");
-    return array_[i];
+    return v.array_[i];
 }
 
 void
 Json::set(const std::string &key, Json v)
 {
+    thaw();
     STITCH_ASSERT(kind_ == Kind::Object || kind_ == Kind::Null,
                   "set on a non-object");
     kind_ = Kind::Object;
@@ -87,7 +151,7 @@ Json::set(const std::string &key, Json v)
 bool
 Json::has(const std::string &key) const
 {
-    for (const auto &kv : object_)
+    for (const auto &kv : view().object_)
         if (kv.first == key)
             return true;
     return false;
@@ -96,7 +160,7 @@ Json::has(const std::string &key) const
 const Json &
 Json::get(const std::string &key) const
 {
-    for (const auto &kv : object_)
+    for (const auto &kv : view().object_)
         if (kv.first == key)
             return kv.second;
     fatal("JSON object has no key '", key, "'");
@@ -109,23 +173,31 @@ void
 escapeInto(std::string &out, const std::string &s)
 {
     out.push_back('"');
-    for (char c : s) {
+    std::size_t run = 0; // start of the pending run of plain bytes
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        const char *esc = nullptr;
         switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
+          case '"': esc = "\\\""; break;
+          case '\\': esc = "\\\\"; break;
+          case '\n': esc = "\\n"; break;
+          case '\t': esc = "\\t"; break;
+          case '\r': esc = "\\r"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
+            if (static_cast<unsigned char>(c) >= 0x20)
+                continue;
+        }
+        out.append(s, run, i - run);
+        run = i + 1;
+        if (esc) {
+            out += esc;
+        } else {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", c);
+            out += buf;
         }
     }
+    out.append(s, run, s.size() - run);
     out.push_back('"');
 }
 
@@ -143,6 +215,15 @@ newlineIndent(std::string &out, int indent, int depth)
 void
 Json::dumpTo(std::string &out, int indent, int depth) const
 {
+    if (frozen_) {
+        if (indent <= 0)
+            out += frozen_->compact;
+        else
+            frozen_->view().dumpTo(out, indent, depth);
+        return;
+    }
+    // std::to_chars is specified as printf's "%llu" and, with general
+    // format and precision 9, as "%.9g" -- without the format parse.
     char buf[32];
     switch (kind_) {
       case Kind::Null:
@@ -152,17 +233,15 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         break;
       case Kind::Int:
-        std::snprintf(buf, sizeof buf, "%llu",
-                      static_cast<unsigned long long>(int_));
-        out += buf;
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, int_).ptr);
         break;
       case Kind::Double:
-        if (std::isfinite(double_)) {
-            std::snprintf(buf, sizeof buf, "%.9g", double_);
-            out += buf;
-        } else {
+        if (std::isfinite(double_))
+            out.append(buf, std::to_chars(buf, buf + sizeof buf, double_,
+                                          std::chars_format::general, 9)
+                                .ptr);
+        else
             out += "null"; // JSON has no inf/nan
-        }
         break;
       case Kind::String:
         escapeInto(out, str_);
@@ -206,14 +285,12 @@ Json::dump(int indent) const
     return out;
 }
 
-namespace
-{
-
-/** Recursive-descent parser over the generated subset. */
-class Parser
+/** Recursive-descent parser over the generated subset; builds nodes
+ *  in place (hence a friend of Json). */
+class JsonParser
 {
   public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    explicit JsonParser(std::string_view text) : text_(text) {}
 
     Json
     run()
@@ -227,11 +304,20 @@ class Parser
     }
 
   private:
+    bool
+    atDigit() const
+    {
+        return pos_ < text_.size() && text_[pos_] >= '0' &&
+               text_[pos_] <= '9';
+    }
+
+    /** JSON's four whitespace bytes, and no others. */
     void
     skipWs()
     {
         while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
+               (text_[pos_] == ' ' || text_[pos_] == '\n' ||
+                text_[pos_] == '\t' || text_[pos_] == '\r'))
             ++pos_;
     }
 
@@ -264,11 +350,10 @@ class Parser
     }
 
     bool
-    consumeWord(const char *w)
+    consumeWord(std::string_view w)
     {
-        std::size_t n = std::string(w).size();
-        if (text_.compare(pos_, n, w) == 0) {
-            pos_ += n;
+        if (text_.substr(pos_, w.size()) == w) {
+            pos_ += w.size();
             return true;
         }
         return false;
@@ -280,15 +365,18 @@ class Parser
         expect('"');
         std::string out;
         while (true) {
+            // Copy the run up to the next quote or escape in one go.
+            std::size_t stop = pos_;
+            while (stop < text_.size() && text_[stop] != '"' &&
+                   text_[stop] != '\\')
+                ++stop;
+            out.append(text_, pos_, stop - pos_);
+            pos_ = stop;
             if (pos_ >= text_.size())
                 fatal("unterminated JSON string");
             char c = text_[pos_++];
             if (c == '"')
                 return out;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
             if (pos_ >= text_.size())
                 fatal("unterminated escape in JSON string");
             char e = text_[pos_++];
@@ -330,29 +418,67 @@ class Parser
         }
     }
 
+    /** JSON's number grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?
+     *  [0-9]+)?, converted in place. A token without sign, fraction
+     *  or exponent is an exact unsigned integer; every other number
+     *  is a double. */
     Json
     number()
     {
-        std::size_t start = pos_;
+        const std::size_t start = pos_;
+        auto malformed = [&](const char *why) {
+            fatal("malformed JSON number at byte ", start, ": ", why);
+        };
         bool isInt = true;
-        if (consume('-'))
-            isInt = false; // counters are unsigned; treat as double
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-')) {
-            if (!std::isdigit(static_cast<unsigned char>(text_[pos_])))
-                isInt = false;
+        if (pos_ < text_.size() && text_[pos_] == '-') {
             ++pos_;
+            isInt = false; // counters are unsigned; treat as double
         }
-        std::string tok = text_.substr(start, pos_ - start);
-        if (tok.empty() || tok == "-")
-            fatal("malformed JSON number at byte ", start);
-        if (isInt)
-            return Json(static_cast<std::uint64_t>(
-                std::stoull(tok)));
-        return Json(std::stod(tok));
+        if (!atDigit())
+            malformed("expected a digit");
+        if (text_[pos_++] == '0') {
+            if (atDigit())
+                malformed("leading zero");
+        } else {
+            while (atDigit())
+                ++pos_;
+        }
+        if (pos_ < text_.size() && text_[pos_] == '.') {
+            ++pos_;
+            isInt = false;
+            if (!atDigit())
+                malformed("expected a digit after '.'");
+            while (atDigit())
+                ++pos_;
+        }
+        if (pos_ < text_.size() &&
+            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+            ++pos_;
+            isInt = false;
+            if (pos_ < text_.size() &&
+                (text_[pos_] == '+' || text_[pos_] == '-'))
+                ++pos_;
+            if (!atDigit())
+                malformed("expected a digit in the exponent");
+            while (atDigit())
+                ++pos_;
+        }
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        Json v;
+        std::from_chars_result r;
+        if (isInt) {
+            v.kind_ = Json::Kind::Int;
+            r = std::from_chars(first, last, v.int_);
+        } else {
+            v.kind_ = Json::Kind::Double;
+            r = std::from_chars(first, last, v.double_);
+        }
+        if (r.ec == std::errc::result_out_of_range)
+            malformed("out of range");
+        if (r.ec != std::errc() || r.ptr != last)
+            malformed("not a number");
+        return v;
     }
 
     Json
@@ -364,30 +490,54 @@ class Parser
             Json obj = Json::object();
             if (consume('}'))
                 return obj;
+            // Members collect on a stack shared by every nesting level
+            // and move into an exactly sized vector at the close.
+            const std::size_t base = members_.size();
             while (true) {
                 std::string key = (skipWs(), string());
                 expect(':');
-                obj.set(key, value());
+                Json member = value();
+                auto it = std::find_if(
+                    members_.begin() + static_cast<std::ptrdiff_t>(base),
+                    members_.end(),
+                    [&](const auto &kv) { return kv.first == key; });
+                if (it != members_.end())
+                    it->second = std::move(member);
+                else
+                    members_.emplace_back(std::move(key),
+                                          std::move(member));
                 if (consume('}'))
-                    return obj;
+                    break;
                 expect(',');
             }
+            obj.object_.assign(
+                std::make_move_iterator(members_.begin() +
+                                        static_cast<std::ptrdiff_t>(base)),
+                std::make_move_iterator(members_.end()));
+            members_.resize(base);
+            return obj;
         }
         if (c == '[') {
             ++pos_;
             Json arr = Json::array();
             if (consume(']'))
                 return arr;
+            const std::size_t base = elements_.size();
             while (true) {
-                arr.push(value());
+                elements_.push_back(value());
                 if (consume(']'))
-                    return arr;
+                    break;
                 expect(',');
             }
+            arr.array_.assign(
+                std::make_move_iterator(elements_.begin() +
+                                        static_cast<std::ptrdiff_t>(base)),
+                std::make_move_iterator(elements_.end()));
+            elements_.resize(base);
+            return arr;
         }
         if (c == '"')
             return Json(string());
-        skipWs();
         if (consumeWord("true"))
             return Json(true);
         if (consumeWord("false"))
@@ -397,16 +547,17 @@ class Parser
         return number();
     }
 
-    const std::string &text_;
+    std::string_view text_;
     std::size_t pos_ = 0;
+    /** Open containers' members and elements (see value()). */
+    std::vector<std::pair<std::string, Json>> members_;
+    std::vector<Json> elements_;
 };
-
-} // namespace
 
 Json
 Json::parse(const std::string &text)
 {
-    return Parser(text).run();
+    return JsonParser(text).run();
 }
 
 std::FILE *

@@ -7,7 +7,27 @@
  * need both directions but only the JSON subset we generate: objects,
  * arrays, strings, numbers, booleans and null. No dependency beyond
  * the standard library; numbers are stored as double plus an exact
- * integer flag so 64-bit counters survive a round trip.
+ * integer flag so 64-bit counters survive a round trip. Numbers are
+ * written as printf's `%llu` / `%.9g` would write them and read with
+ * JSON's strict number grammar; a malformed document of any kind
+ * throws FatalError.
+ *
+ * A value can also be *frozen*: an immutable node shared by every
+ * copy, which carries its compact rendering. The service keeps cached
+ * reports this way, so handing one to a response is a refcount bump
+ * and putting it on the wire is a byte copy.
+ *
+ *  - Json::freeze(tree) renders the tree compactly once. dump() of
+ *    any document that contains the frozen value appends those bytes
+ *    verbatim; dump(indent > 0) still renders the tree, so indented
+ *    artifacts do not change.
+ *  - Json::fromCompact(text) holds bytes and no tree yet. The tree is
+ *    parsed on the first read (once, thread-safe), so a value that is
+ *    only relayed is never parsed. A malformed text throws FatalError
+ *    from that first read.
+ *  - Readers see plain value semantics. A mutation (set, push) first
+ *    copies the shared tree into the value (copy-on-write), so the
+ *    other copies never change.
  */
 
 #ifndef STITCH_OBS_JSON_HH
@@ -16,6 +36,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,10 +71,18 @@ class Json
     static Json array() { Json j; j.kind_ = Kind::Array; return j; }
     static Json object() { Json j; j.kind_ = Kind::Object; return j; }
 
-    Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
-    bool isObject() const { return kind_ == Kind::Object; }
-    bool isArray() const { return kind_ == Kind::Array; }
+    /** An immutable value sharing `tree` among its copies, with the
+     *  compact rendering computed now (see the file comment). */
+    static Json freeze(Json tree);
+
+    /** A frozen value over compact JSON text; the tree is parsed on
+     *  the first read. */
+    static Json fromCompact(std::string text);
+
+    Kind kind() const { return view().kind_; }
+    bool isNull() const { return kind() == Kind::Null; }
+    bool isObject() const { return kind() == Kind::Object; }
+    bool isArray() const { return kind() == Kind::Array; }
 
     bool asBool() const;
     std::uint64_t asUint() const;
@@ -71,7 +100,7 @@ class Json
     const Json &get(const std::string &key) const;
     const std::vector<std::pair<std::string, Json>> &items() const
     {
-        return object_;
+        return view().object_;
     }
 
     /** Serialize; indent > 0 pretty-prints with that many spaces. */
@@ -81,6 +110,18 @@ class Json
     static Json parse(const std::string &text);
 
   private:
+    friend class JsonParser;
+    struct Frozen;
+
+    /** The tree to read: the shared node's when frozen, else this. */
+    const Json &
+    view() const
+    {
+        return frozen_ ? frozenTree() : *this;
+    }
+    const Json &frozenTree() const;
+    /** Copy-on-write: replace a frozen value by its own tree copy. */
+    void thaw();
     void dumpTo(std::string &out, int indent, int depth) const;
 
     Kind kind_ = Kind::Null;
@@ -90,6 +131,7 @@ class Json
     std::string str_;
     std::vector<Json> array_;
     std::vector<std::pair<std::string, Json>> object_;
+    std::shared_ptr<const Frozen> frozen_; ///< set only when frozen
 };
 
 /**

@@ -43,7 +43,10 @@ ResultCache::memInsert(const std::string &key,
         lru_.erase(it->second);
         index_.erase(it);
     }
-    lru_.push_front({key, entry});
+    // A no-op for the engine's entries, which arrive frozen.
+    lru_.push_front({key,
+                     {obs::Json::freeze(entry.report),
+                      obs::Json::freeze(entry.derived)}});
     index_[key] = lru_.begin();
     while (lru_.size() > memEntries_) {
         index_.erase(lru_.back().key);
@@ -121,7 +124,8 @@ ResultCache::diskLookup(const JobSpec &spec,
                  " echoes a different spec; treating as a miss");
             invalid = true;
         } else {
-            CacheEntry entry{doc.get("report"), doc.get("derived")};
+            CacheEntry entry{obs::Json::freeze(doc.get("report")),
+                             obs::Json::freeze(doc.get("derived"))};
             std::lock_guard<std::mutex> lock(mutex_);
             memInsert(key, entry);
             ++stats_.diskHits;

@@ -58,7 +58,9 @@ inline constexpr int engineVersion = 2;
 /** The invalidation stamp every entry must match to be served. */
 std::string cacheStamp();
 
-/** One cached job outcome. */
+/** One cached job outcome. The cache holds both documents frozen
+ *  (obs::Json::freeze): every copy of an entry shares one node and
+ *  its compact bytes, so a hit copies no report. */
 struct CacheEntry
 {
     obs::Json report;  ///< the run report document

@@ -167,10 +167,7 @@ JobEngine::submit(const JobSpec &spec)
             victim.result.error = detail::formatMessage(
                 "shed under overload by higher-priority job (band ",
                 lowestBand, " -> ", spec.priority, ")");
-            --pendingJobs_;
-            if (auto it = pendingPerBand_.find(lowestBand);
-                it != pendingPerBand_.end() && --it->second <= 0)
-                pendingPerBand_.erase(it);
+            leavePending(victim);
             jobStats_.inc("shed");
             resilienceStats_.inc("shed");
             if (flight_) {
@@ -209,6 +206,8 @@ JobEngine::submit(const JobSpec &spec)
     queue_.push({spec.priority, -id});
     ++pendingPerBand_[spec.priority];
     ++pendingJobs_;
+    if (spec.deadlineMs > 0)
+        ++pendingDeadlineJobs_;
     jobStats_.inc("submitted");
     queueStats_.set("peak_depth",
                     std::max<std::uint64_t>(
@@ -233,12 +232,20 @@ JobEngine::cancel(int id)
     if (job.result.status != JobResult::Status::Pending)
         return false;
     job.result.status = JobResult::Status::Cancelled;
+    leavePending(job);
+    jobStats_.inc("cancelled");
+    return true;
+}
+
+void
+JobEngine::leavePending(const Job &job)
+{
     --pendingJobs_;
+    if (job.spec.deadlineMs > 0)
+        --pendingDeadlineJobs_;
     if (auto it = pendingPerBand_.find(job.spec.priority);
         it != pendingPerBand_.end() && --it->second <= 0)
         pendingPerBand_.erase(it);
-    jobStats_.inc("cancelled");
-    return true;
 }
 
 void
@@ -397,8 +404,9 @@ JobEngine::runSimulation(Job &job, const telem::TraceContext &ctx,
                 ReportOptions reportOptions;
                 reportOptions.profile = job.spec.artifacts.profile;
                 reportOptions.energy = job.spec.artifacts.energy;
-                entry.report = appReportJson(res, reportOptions);
-                entry.derived = derivedJson(res);
+                entry.report = obs::Json::freeze(
+                    appReportJson(res, reportOptions));
+                entry.derived = obs::Json::freeze(derivedJson(res));
                 if (cache_.memEnabled() || cache_.diskEnabled())
                     cache_.store(job.spec, entry);
             }
@@ -490,10 +498,7 @@ JobEngine::claimAndRunOne(int worker)
             job.deadlineAtUs =
                 job.claimUs + job.spec.deadlineMs * 1000;
         ++runningJobs_;
-        --pendingJobs_;
-        if (auto it = pendingPerBand_.find(job.spec.priority);
-            it != pendingPerBand_.end() && --it->second <= 0)
-            pendingPerBand_.erase(it);
+        leavePending(job);
 
         ctx = contextFor(job, worker);
         // The queue span closes the moment a worker picks the job up.
@@ -675,11 +680,7 @@ JobEngine::run()
     {
         std::lock_guard<std::mutex> lock(mutex_);
         wdStop_ = false;
-        for (const auto &jobPtr : jobs_)
-            if (jobPtr->result.status ==
-                    JobResult::Status::Pending &&
-                jobPtr->spec.deadlineMs > 0)
-                needWatchdog = true;
+        needWatchdog = pendingDeadlineJobs_ > 0;
     }
     if (needWatchdog)
         watchdog_ = std::thread([this] { watchdogLoop(); });

@@ -210,8 +210,10 @@ struct JobResult
     std::string error; ///< failure message (Status::Failed/Shed)
     /** config|mismatch|sim|internal|deadline|injected|overloaded */
     std::string errorKind;
-    obs::Json report;  ///< svc::appReportJson document
-    obs::Json derived; ///< svc::derivedJson scalars
+    /** svc::appReportJson document and svc::derivedJson scalars,
+     *  both frozen: shared with the cache entry, never copied. */
+    obs::Json report;
+    obs::Json derived;
 
     std::uint64_t traceId = 0; ///< request-scoped id, set at submit
     double latencyMs = 0;      ///< claim-to-finish wall time
@@ -401,6 +403,9 @@ class JobEngine
         std::atomic<bool> abortRequested{false};
     };
 
+    /** Bookkeeping for a pending job leaving the queue (claimed,
+     *  cancelled or shed); mutex_ held. */
+    void leavePending(const Job &job);
     bool claimAndRunOne(int worker);
     void runSimulation(Job &job, const telem::TraceContext &ctx,
                        CacheEntry &entry, bool &failed,
@@ -434,6 +439,9 @@ class JobEngine
     /** priority -> still-pending jobs (live per-band backlog). */
     std::map<int, int, std::greater<int>> pendingPerBand_;
     int pendingJobs_ = 0; ///< sum of pendingPerBand_ (admission test)
+    /** Pending jobs that carry a deadline: run() arms the watchdog
+     *  only when this is positive. */
+    int pendingDeadlineJobs_ = 0;
     int runningJobs_ = 0;
 
     /** Deadline watchdog (started lazily by run(), joined at drain).

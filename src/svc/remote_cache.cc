@@ -156,8 +156,8 @@ RemoteCacheClient::lookup(const JobSpec &spec,
             continue;
         }
         CacheEntry entry;
-        entry.report = response.get("report");
-        entry.derived = response.get("derived");
+        entry.report = obs::Json::freeze(response.get("report"));
+        entry.derived = obs::Json::freeze(response.get("derived"));
         {
             std::lock_guard<std::mutex> lock(mutex_);
             ++stats_.hits;

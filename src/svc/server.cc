@@ -62,13 +62,18 @@ readAll(int fd, void *data, std::size_t len)
     return true;
 }
 
+/** One write for prefix and payload: the peer wakes once, to a
+ *  whole frame, instead of once for the 4-byte prefix and again for
+ *  the body. */
 bool
 sendFrame(int fd, const std::string &payload)
 {
-    std::uint32_t len = htonl(
+    const std::uint32_t len = htonl(
         static_cast<std::uint32_t>(payload.size()));
-    return writeAll(fd, &len, sizeof len) &&
-           writeAll(fd, payload.data(), payload.size());
+    std::string frame(sizeof len, '\0');
+    std::memcpy(frame.data(), &len, sizeof len);
+    frame += payload;
+    return writeAll(fd, frame.data(), frame.size());
 }
 
 /** Typed outcome of one frame receive — the serve loop answers each
@@ -242,10 +247,9 @@ cacheVerbResponse(JobEngine &engine, const obs::Json &doc)
             return errorResponse(
                 "config", "cacheput needs \"report\" and "
                           "\"derived\"");
-        CacheEntry entry;
-        entry.report = doc.get("report");
-        entry.derived = doc.get("derived");
-        engine.cache().store(spec, entry);
+        engine.cache().store(
+            spec, {obs::Json::freeze(doc.get("report")),
+                   obs::Json::freeze(doc.get("derived"))});
         resp.set("status", "ok");
         resp.set("stored", true);
         return resp;
@@ -496,7 +500,7 @@ Server::serve(int maxRequests)
                                        ? engine_->traceContext(jobId)
                                        : telem::TraceContext{},
                                    telem::Stage::Respond);
-            if (!sendFrame(fd, response.dump(2) + "\n"))
+            if (!sendFrame(fd, response.dump()))
                 warn("stitchd: client hung up before the response");
         }
         ::close(fd);
@@ -511,11 +515,10 @@ Server::uptimeS() const
         .count();
 }
 
-obs::Json
-requestReport(const std::string &host, std::uint16_t port,
-              const obs::Json &jobDoc,
-              const ServiceFaultInjector *chaos,
-              std::uint64_t requestIndex, std::uint64_t timeoutMs)
+std::string
+requestFrame(const std::string &host, std::uint16_t port,
+             const obs::Json &jobDoc, const ServiceFaultInjector *chaos,
+             std::uint64_t requestIndex, std::uint64_t timeoutMs)
 {
     int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0)
@@ -575,7 +578,17 @@ requestReport(const std::string &host, std::uint16_t port,
         throw fault::ConfigError(detail::formatMessage(
             "request to ", host, ":", port,
             " failed mid-frame"));
-    return obs::Json::parse(payload);
+    return payload;
+}
+
+obs::Json
+requestReport(const std::string &host, std::uint16_t port,
+              const obs::Json &jobDoc,
+              const ServiceFaultInjector *chaos,
+              std::uint64_t requestIndex, std::uint64_t timeoutMs)
+{
+    return obs::Json::parse(requestFrame(host, port, jobDoc, chaos,
+                                         requestIndex, timeoutMs));
 }
 
 obs::Json

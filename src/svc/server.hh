@@ -9,7 +9,9 @@
  *
  * Wire format, both directions: a 4-byte big-endian payload length
  * followed by that many bytes of UTF-8 JSON. One request per
- * connection; the server answers and closes. Responses:
+ * connection; the server answers and closes. Responses are compact
+ * JSON (obs::Json::dump()), so a cached report goes out as the bytes
+ * its cache entry already holds:
  *
  *   {"schema":"stitch-response","version":1,"status":"ok",
  *    "cached":...,"key":"...","report":{...},"derived":{...}}
@@ -211,7 +213,8 @@ obs::Json introspectionResponse(JobEngine &engine,
 
 /**
  * Client side of the wire format: connect to `host`:`port`, send
- * `jobDoc`, return the parsed response document. Throws
+ * `jobDoc`, return the response frame's payload unparsed (the
+ * router relays it as bytes). Throws
  * fault::ConfigError on connection or framing failures. A positive
  * `timeoutMs` bounds the socket send/receive (SO_SNDTIMEO /
  * SO_RCVTIMEO) so a hung peer surfaces as a transport failure
@@ -225,6 +228,14 @@ obs::Json introspectionResponse(JobEngine &engine,
  * (the server must answer itself a typed "protocol" error; this
  * side throws fault::ConfigError). Null chaos is the seed behaviour.
  */
+std::string requestFrame(const std::string &host, std::uint16_t port,
+                         const obs::Json &jobDoc,
+                         const ServiceFaultInjector *chaos = nullptr,
+                         std::uint64_t requestIndex = 0,
+                         std::uint64_t timeoutMs = 0);
+
+/** requestFrame, parsed: the response document. A payload that is
+ *  not JSON throws FatalError. */
 obs::Json requestReport(const std::string &host, std::uint16_t port,
                         const obs::Json &jobDoc,
                         const ServiceFaultInjector *chaos = nullptr,

@@ -368,6 +368,55 @@ TEST(ChaosEngine, StalledWorkerTripsDeadlineWatchdog)
         1u);
 }
 
+TEST(ChaosEngine, DeadlineAfterManyRetiredJobsStillTripsTheWatchdog)
+{
+    // run() arms the watchdog from a count of pending deadline jobs,
+    // not a scan of every job ever admitted: a long history of
+    // completed and cancelled jobs (some of them with deadlines) must
+    // neither hide a new deadline nor leave a stale count behind.
+    EngineOptions options;
+    options.chaos = ServiceFaultPlan::workerStalls(1.0, 2000, 31);
+    options.watchdogPollMs = 2;
+    JobEngine engine(options);
+    // Pre-seed the cache so the history never simulates (and so never
+    // stalls): every completed job is a memory hit.
+    engine.cache().store(cheapSpec(), {obs::Json::object(),
+                                       obs::Json::object()});
+    for (int i = 0; i < 500; ++i) {
+        JobSpec hit = cheapSpec();
+        hit.deadlineMs = i % 2 ? 30 : 0;
+        const int id = engine.submit(hit);
+        engine.run();
+        ASSERT_EQ(engine.result(id).status,
+                  JobResult::Status::Completed);
+        ASSERT_TRUE(engine.result(id).cached);
+    }
+    for (int i = 0; i < 500; ++i) {
+        JobSpec doomed = cheapSpec(1);
+        doomed.deadlineMs = i % 2 ? 30 : 0;
+        ASSERT_TRUE(engine.cancel(engine.submit(doomed)));
+    }
+    engine.run();
+
+    JobSpec spec = cheapSpec(2);
+    spec.deadlineMs = 30;
+    const int id = engine.submit(spec);
+    const auto start = std::chrono::steady_clock::now();
+    engine.run();
+    const double tookMs =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+
+    ASSERT_EQ(engine.result(id).status, JobResult::Status::Failed);
+    EXPECT_EQ(engine.result(id).errorKind, "deadline");
+    EXPECT_LT(tookMs, 1500.0);
+    EXPECT_EQ(resilienceCounters(engine.serviceReportJson())
+                  .get("watchdog_trips")
+                  .asUint(),
+              1u);
+}
+
 TEST(ChaosEngine, ShortStallWithoutDeadlineCompletes)
 {
     EngineOptions options;

@@ -476,6 +476,52 @@ TEST_F(RouterFixture, AggregatesFleetWideStatz)
               static_cast<std::uint64_t>(kShards));
 }
 
+TEST_F(RouterFixture, RelayedFrameIsTheShardsResponsePlusTwoKeys)
+{
+    const svc::JobSpec spec = cheapSpec(22);
+    ASSERT_EQ(router_->handle(spec.toJson()).get("status").asString(),
+              "ok");
+    const obs::Json relayed = router_->handle(spec.toJson());
+    const int owner =
+        shardIndexByName(router_->ring().ownerOf(spec.cacheKey()));
+    ASSERT_GE(owner, 0);
+    const obs::Json direct = svc::requestReport(
+        "127.0.0.1", servers_[owner]->port(), spec.toJson());
+    ASSERT_TRUE(direct.get("cached").asBool());
+
+    // The relay parses to the shard's response (keys in order, same
+    // values but the per-request trace id) plus exactly two keys.
+    const auto &got = relayed.items();
+    const auto &want = direct.items();
+    ASSERT_EQ(got.size(), want.size() + 2);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].first, want[i].first);
+        if (want[i].first != "trace_id") {
+            EXPECT_EQ(got[i].second.dump(), want[i].second.dump())
+                << want[i].first;
+        }
+    }
+    EXPECT_EQ(got[want.size()].first, "shard");
+    EXPECT_EQ(got[want.size()].second.asString(), shardName(owner));
+    EXPECT_EQ(got[want.size() + 1].first, "router_attempts");
+    EXPECT_EQ(got[want.size() + 1].second.asUint(), 1u);
+}
+
+TEST(Router, NonObjectShardFrameAnswersTypedInternal)
+{
+    svc::Server shard([](const obs::Json &) { return obs::Json::array(); });
+    std::thread loop([&] { shard.serve(/*maxRequests=*/1); });
+    RouterOptions options;
+    options.shards = {"127.0.0.1:" + std::to_string(shard.port())};
+    Router router(options);
+    const obs::Json resp = router.handle(cheapSpec(23).toJson());
+    loop.join();
+    EXPECT_EQ(resp.get("status").asString(), "error");
+    EXPECT_EQ(resp.get("error_kind").asString(), "internal");
+    EXPECT_EQ(router.stats().jobsRouted, 1u);
+    EXPECT_EQ(router.stats().failoverReroutes, 0u);
+}
+
 TEST(Router, ExhaustionAnswersTypedUnavailable)
 {
     // Grab a port that refuses: bind, read it back, close.

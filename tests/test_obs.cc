@@ -1,17 +1,27 @@
 /** @file Observability-layer tests: stats registry, JSON round-trip,
  *  run reports, and the per-run event tracer (parity, golden
  *  ping-pong trace, CUST counts, and concurrent runs sharing one
- *  trace file). */
+ *  trace file). Plus the JSON codec itself: the strict number
+ *  grammar, printf-equivalent number formatting, seeded round-trip
+ *  and mutation fuzzers, and the frozen (shared, copy-on-write)
+ *  form. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <thread>
+#include <typeinfo>
 
 #include "apps/app_runner.hh"
+#include "common/rng.hh"
 #include "compiler/rewriter.hh"
 #include "isa/assembler.hh"
 #include "obs/json.hh"
@@ -475,6 +485,337 @@ TEST(SweepRunner, ConcurrentRunsShareOneTracer)
         traceFourRuns(4, testing::TempDir() + "parallel_trace.json");
     EXPECT_GT(serial.size(), 4u * 800u);
     EXPECT_EQ(serial, parallel);
+}
+
+// ---------------------------------------------------------------- //
+// JSON codec
+
+/** A real run report: the 2-tile ping-pong's. */
+Json
+pingPongReport()
+{
+    sim::SystemParams params;
+    params.accel = sim::AccelMode::None;
+    sim::System system(params);
+    auto stats = runPingPong(system);
+    return sim::runReport(stats, &system.registry());
+}
+
+TEST(JsonNumbers, MinusAfterDigitsIsRejected)
+{
+    EXPECT_THROW(Json::parse("[1-2]"), FatalError);
+}
+
+TEST(JsonNumbers, ExponentWithoutDigitsIsRejected)
+{
+    EXPECT_THROW(Json::parse("[1e]"), FatalError);
+}
+
+TEST(JsonNumbers, SecondDecimalPointIsRejected)
+{
+    EXPECT_THROW(Json::parse("[1.2.3]"), FatalError);
+}
+
+TEST(JsonNumbers, LeadingPlusIsRejected)
+{
+    EXPECT_THROW(Json::parse("[+5]"), FatalError);
+}
+
+TEST(JsonNumbers, LeadingZeroIsRejected)
+{
+    EXPECT_THROW(Json::parse("[01]"), FatalError);
+}
+
+TEST(JsonNumbers, DoubleMinusThrowsFatalError)
+{
+    EXPECT_THROW(Json::parse("[--1]"), FatalError);
+}
+
+TEST(JsonNumbers, IntegerBeyondUint64ThrowsFatalError)
+{
+    EXPECT_THROW(Json::parse("[18446744073709551616]"), FatalError);
+}
+
+TEST(JsonNumbers, GrammarEdgesThatAreValidStillParse)
+{
+    EXPECT_EQ(Json::parse("18446744073709551615").asUint(),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(Json::parse("0").kind(), Json::Kind::Int);
+    EXPECT_EQ(Json::parse("-0").kind(), Json::Kind::Double);
+    EXPECT_TRUE(std::signbit(Json::parse("-0").asDouble()));
+    EXPECT_EQ(Json::parse("1E+5").asDouble(), 1e5);
+    EXPECT_EQ(Json::parse("-1.5e-3").asDouble(), -1.5e-3);
+    EXPECT_EQ(Json::parse("0.25").asDouble(), 0.25);
+    EXPECT_EQ(Json::parse("[ 7 , 8 ]").at(1).asUint(), 8u);
+    EXPECT_THROW(Json::parse("1."), FatalError);
+    EXPECT_THROW(Json::parse(".5"), FatalError);
+    EXPECT_THROW(Json::parse("-"), FatalError);
+    EXPECT_THROW(Json::parse("1e999"), FatalError);
+    EXPECT_THROW(Json::parse("tru"), FatalError);
+}
+
+std::string
+printfDouble(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.9g", v);
+    return buf;
+}
+
+std::string
+printfUint(std::uint64_t v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%llu",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+TEST(JsonCodec, NumbersFormatExactlyAsPrintf)
+{
+    std::vector<double> doubles = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 1e9, 1e-9, 123456789.0,
+        1234567890.0, 0.5, 2.5, 1e21, 1e22, 5e-324, -5e-324,
+        DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, DBL_TRUE_MIN,
+        std::nextafter(DBL_MIN, 0.0), 999999999.5, 9999999995.0};
+    Rng rng(0x6a50cull);
+    for (int i = 0; i < 100000; ++i) {
+        std::uint64_t bits = rng.next();
+        if (i % 4 == 1)
+            bits &= 0x800fffffffffffffull; // subnormal or +-0
+        double d;
+        std::memcpy(&d, &bits, sizeof d);
+        doubles.push_back(d);
+    }
+    std::size_t finite = 0;
+    for (double d : doubles) {
+        if (!std::isfinite(d)) {
+            EXPECT_EQ(Json(d).dump(), "null");
+            continue;
+        }
+        ++finite;
+        ASSERT_EQ(Json(d).dump(), printfDouble(d)) << "bits of " << d;
+    }
+    EXPECT_GT(finite, 99000u);
+
+    std::vector<std::uint64_t> ints = {
+        0, 1, 9, 10, 99, 100, std::numeric_limits<std::uint64_t>::max(),
+        std::numeric_limits<std::uint64_t>::max() - 1, 1ull << 63};
+    for (int i = 0; i < 100000; ++i)
+        ints.push_back(rng.next() >> (rng.next() % 64));
+    for (std::uint64_t v : ints)
+        ASSERT_EQ(Json(v).dump(), printfUint(v));
+}
+
+/** A random tree of every kind: nested containers, strings with
+ *  escapes and control bytes, and numbers from random bit patterns. */
+Json
+randomTree(Rng &rng, int depth)
+{
+    const int pick = static_cast<int>(
+        rng.range(0, depth > 0 ? 8 : 5));
+    switch (pick) {
+      case 0:
+        return Json();
+      case 1:
+        return Json(rng.next() % 2 == 0);
+      case 2:
+        return Json(rng.next() >> rng.range(0, 63));
+      case 3: {
+        std::uint64_t bits = rng.next();
+        if (rng.next() % 4 == 0)
+            bits &= 0x800fffffffffffffull;
+        double d;
+        std::memcpy(&d, &bits, sizeof d);
+        return Json(d);
+      }
+      case 4:
+        return Json(rng.uniform() * 1e6 - 5e5);
+      case 5: {
+        std::string text;
+        const int n = static_cast<int>(rng.range(0, 12));
+        for (int i = 0; i < n; ++i)
+            text.push_back(static_cast<char>(rng.range(1, 127)));
+        return Json(text);
+      }
+      case 6: {
+        Json arr = Json::array();
+        const int n = static_cast<int>(rng.range(0, 5));
+        for (int i = 0; i < n; ++i)
+            arr.push(randomTree(rng, depth - 1));
+        return arr;
+      }
+      default: {
+        Json obj = Json::object();
+        const int n = static_cast<int>(rng.range(0, 5));
+        for (int i = 0; i < n; ++i) {
+            std::string key = "k" + std::to_string(rng.range(0, 9));
+            if (rng.next() % 5 == 0)
+                key += "\"\\\n\t";
+            obj.set(key, randomTree(rng, depth - 1));
+        }
+        return obj;
+      }
+    }
+}
+
+TEST(JsonCodec, RandomTreesRoundTripAtBothIndents)
+{
+    Rng rng(0x7ee5ull);
+    for (int i = 0; i < 3000; ++i) {
+        const Json tree = randomTree(rng, 4);
+        for (int indent : {0, 2}) {
+            const std::string text = tree.dump(indent);
+            ASSERT_EQ(Json::parse(text).dump(indent), text) << text;
+        }
+        // A frozen tree and its lazily parsed compact form render
+        // the same bytes.
+        const Json frozen = Json::freeze(tree);
+        ASSERT_EQ(frozen.dump(), tree.dump());
+        ASSERT_EQ(frozen.dump(2), tree.dump(2));
+        ASSERT_EQ(Json::fromCompact(tree.dump()).dump(2), tree.dump(2));
+    }
+}
+
+TEST(JsonCodec, MutatedReportsParseOrThrowFatalError)
+{
+    const std::string compact = pingPongReport().dump();
+    const std::string indented = pingPongReport().dump(2);
+    Rng rng(0xbadf00dull);
+    int parsed = 0, rejected = 0;
+    for (int i = 0; i < 3000; ++i) {
+        std::string text = i % 2 ? compact : indented;
+        const int edits = static_cast<int>(rng.range(1, 4));
+        for (int e = 0; e < edits && !text.empty(); ++e) {
+            const auto at = static_cast<std::size_t>(
+                rng.range(0, static_cast<std::int64_t>(text.size()) - 1));
+            const char byte = "{}[],:\"\\-+.eE0123456789 tfn\x01\xff"
+                [rng.range(0, 28)];
+            switch (rng.range(0, 3)) {
+              case 0: text[at] = byte; break;
+              case 1: text.erase(at, 1); break;
+              case 2: text.insert(at, 1, byte); break;
+              default: text.resize(at); break;
+            }
+        }
+        try {
+            const Json doc = Json::parse(text);
+            (void)doc.dump(2);
+            ++parsed;
+        } catch (const FatalError &) {
+            ++rejected;
+        } catch (const std::exception &e) {
+            FAIL() << "untyped " << typeid(e).name() << ": "
+                   << e.what() << " on " << text;
+        }
+        // The lazy form fails the same way, on its first read.
+        const Json lazy = Json::fromCompact(text);
+        EXPECT_EQ(lazy.dump(), text);
+        try {
+            (void)lazy.kind();
+        } catch (const FatalError &) {
+        }
+    }
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(rejected, 1000);
+}
+
+TEST(JsonFrozen, CopiesShareTheirNode)
+{
+    const Json report = pingPongReport();
+    const Json frozen = Json::freeze(report);
+    const Json copy = frozen; // NOLINT: the copy is the point
+    EXPECT_EQ(&frozen.get("totals"), &copy.get("totals"));
+    EXPECT_EQ(&frozen.items(), &copy.items());
+    EXPECT_NE(&report.get("totals"), &frozen.get("totals"));
+    // Freezing a frozen value shares the same node too.
+    EXPECT_EQ(&Json::freeze(copy).get("totals"),
+              &frozen.get("totals"));
+    // So does a document that embeds it.
+    Json doc = Json::object();
+    doc.set("report", frozen);
+    EXPECT_EQ(&doc.get("report").get("totals"), &frozen.get("totals"));
+}
+
+TEST(JsonFrozen, MutatingACopyLeavesTheOriginalUnchanged)
+{
+    Json tree = Json::object();
+    tree.set("a", 1);
+    Json list = Json::array();
+    list.push("x");
+    tree.set("list", list);
+    const Json frozen = Json::freeze(tree);
+    const std::string before = frozen.dump();
+
+    Json copy = frozen;
+    copy.set("a", 2);
+    copy.set("b", true);
+    EXPECT_EQ(copy.get("a").asUint(), 2u);
+    EXPECT_EQ(frozen.get("a").asUint(), 1u);
+    EXPECT_FALSE(frozen.has("b"));
+    EXPECT_EQ(frozen.dump(), before);
+    EXPECT_EQ(copy.dump(), R"({"a":2,"list":["x"],"b":true})");
+
+    Json frozenList = Json::freeze(list);
+    Json grown = frozenList;
+    grown.push("y");
+    EXPECT_EQ(frozenList.size(), 1u);
+    EXPECT_EQ(grown.dump(), R"(["x","y"])");
+}
+
+TEST(JsonFrozen, FrozenReportDumpsLikeItsTree)
+{
+    const Json report = pingPongReport();
+    const Json frozen = Json::freeze(report);
+    EXPECT_EQ(frozen.dump(2), report.dump(2));
+    EXPECT_EQ(frozen.dump(), report.dump());
+
+    // Embedded: the compact bytes are spliced in verbatim, and an
+    // indented dump renders the tree at the embedding depth.
+    Json withTree = Json::object();
+    withTree.set("schema", "x");
+    withTree.set("report", report);
+    Json withFrozen = Json::object();
+    withFrozen.set("schema", "x");
+    withFrozen.set("report", frozen);
+    EXPECT_EQ(withFrozen.dump(), withTree.dump());
+    EXPECT_EQ(withFrozen.dump(2), withTree.dump(2));
+}
+
+TEST(JsonFrozen, FromCompactParsesOnlyWhenRead)
+{
+    // Relayed bytes are never parsed: even invalid ones dump as-is.
+    const Json relay = Json::fromCompact("{\"a\":[1,2],\"b\":nope}");
+    EXPECT_EQ(relay.dump(), "{\"a\":[1,2],\"b\":nope}");
+    EXPECT_THROW((void)relay.isObject(), FatalError);
+
+    const Json good = Json::fromCompact("{\"a\":[1,2.5],\"b\":\"c\"}");
+    EXPECT_EQ(good.get("a").at(1).asDouble(), 2.5);
+    EXPECT_EQ(good.dump(2), "{\n  \"a\": [\n    1,\n    2.5\n  ],\n"
+                            "  \"b\": \"c\"\n}");
+}
+
+TEST(JsonFrozen, ConcurrentFirstReadsBuildOneTree)
+{
+    const std::string text = pingPongReport().dump();
+    for (int round = 0; round < 20; ++round) {
+        const Json shared = Json::fromCompact(text);
+        std::array<const Json *, 4> seen{};
+        std::array<std::string, 4> dumps;
+        std::vector<std::thread> readers;
+        for (int t = 0; t < 4; ++t)
+            readers.emplace_back([&, t] {
+                const Json copy = shared;
+                seen[t] = &copy.get("totals");
+                dumps[t] = copy.get("totals").dump(2);
+            });
+        for (auto &thread : readers)
+            thread.join();
+        for (int t = 1; t < 4; ++t) {
+            EXPECT_EQ(seen[t], seen[0]);
+            EXPECT_EQ(dumps[t], dumps[0]);
+        }
+    }
 }
 
 } // namespace

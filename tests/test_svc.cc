@@ -840,6 +840,30 @@ provokeResponse(ServerOptions options,
     return response;
 }
 
+TEST(ServerWire, CacheHitFrameIsTheCompactReportPlusAnEnvelope)
+{
+    JobEngine engine;
+    Server server(engine, /*port=*/0);
+    std::thread loop([&] { server.serve(/*maxRequests=*/2); });
+    const obs::Json job = cheapSpec().toJson();
+    (void)requestFrame("127.0.0.1", server.port(), job);
+    const std::string frame =
+        requestFrame("127.0.0.1", server.port(), job);
+    loop.join();
+
+    const obs::Json response = obs::Json::parse(frame);
+    ASSERT_TRUE(response.get("cached").asBool());
+    const std::string report = response.get("report").dump();
+    // Compact on the wire: the report's own bytes, verbatim, plus a
+    // small envelope (an indented frame is about twice the report).
+    EXPECT_LE(frame.size(), report.size() + 1024);
+    EXPECT_NE(frame.find(report), std::string::npos);
+    EXPECT_EQ(frame, response.dump());
+    // The engine's result shares the cache's frozen report.
+    EXPECT_EQ(&engine.result(0).report.get("totals"),
+              &engine.result(1).report.get("totals"));
+}
+
 TEST(ServerHardening, OversizeLengthPrefixAnswersProtocolError)
 {
     ServerOptions options;
@@ -889,6 +913,22 @@ TEST(ServerHardening, GarbageBytesInValidFrameAnswerConfigError)
             htonl(static_cast<std::uint32_t>(garbage.size()));
         rawWrite(fd, &len, sizeof len);
         rawWrite(fd, garbage.data(), garbage.size());
+    });
+    ASSERT_TRUE(response.isObject());
+    EXPECT_EQ(response.get("status").asString(), "error");
+    EXPECT_EQ(response.get("error_kind").asString(), "config");
+}
+
+TEST(ServerHardening, MalformedNumberInFrameAnswersConfigError)
+{
+    // A number the strict grammar rejects is a malformed frame like
+    // any other: typed "config", never "internal".
+    obs::Json response = provokeResponse({}, [](int fd) {
+        const std::string frame = "{\"schema\":--1}";
+        std::uint32_t len =
+            htonl(static_cast<std::uint32_t>(frame.size()));
+        rawWrite(fd, &len, sizeof len);
+        rawWrite(fd, frame.data(), frame.size());
     });
     ASSERT_TRUE(response.isObject());
     EXPECT_EQ(response.get("status").asString(), "error");
