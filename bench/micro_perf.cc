@@ -215,7 +215,9 @@ BENCHMARK(BM_SystemSimulationCompiled)->Unit(benchmark::kMillisecond);
  * Capture every run's headline numbers into the shared stitch-bench
  * metrics map, so `micro_perf --json=PATH` emits the same schema as
  * the table/figure harnesses and the trajectory aggregator treats
- * host-side throughput like any other tracked metric. Counters reach
+ * host-side throughput like any other tracked metric. Times are
+ * converted from each benchmark's display unit to nanoseconds; wall
+ * time is advisory for report_diff, CPU time gates. Counters reach
  * the reporter already rate-adjusted.
  */
 class MetricCaptureReporter : public benchmark::ConsoleReporter
@@ -228,8 +230,12 @@ class MetricCaptureReporter : public benchmark::ConsoleReporter
             if (run.error_occurred)
                 continue;
             std::string name = run.benchmark_name();
+            const double toNs =
+                1e9 / benchmark::GetTimeUnitMultiplier(run.time_unit);
             bench::recordMetric(name + "/real_time_ns",
-                                run.GetAdjustedRealTime());
+                                run.GetAdjustedRealTime() * toNs);
+            bench::recordMetric(name + "/cpu_time_ns",
+                                run.GetAdjustedCPUTime() * toNs);
             for (const auto &[counter, value] : run.counters)
                 bench::recordMetric(name + "/" + counter,
                                     value.value);

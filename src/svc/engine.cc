@@ -83,10 +83,26 @@ JobEngine::JobEngine(const EngineOptions &options)
         flightOptions.dumpDir = options_.flightDir;
         flight_ =
             std::make_unique<telem::FlightRecorder>(flightOptions);
-        // Every span the sink closes lands in the trace's black box.
-        spanSink_.setObserver(
-            [this](const telem::Span &span) { flight_->span(span); });
     }
+    // Every span the sink closes feeds the span-only latency
+    // histograms and, when armed, the trace's black box.
+    spanSink_.setObserver([this](const telem::Span &span) {
+        switch (span.stage) {
+        case telem::Stage::Compile:
+        case telem::Stage::Stitch:
+        case telem::Stage::Simulate:
+        case telem::Stage::Respond: {
+            std::lock_guard<std::mutex> lock(spanHistMutex_);
+            spanHist_[static_cast<int>(span.stage)].record(
+                span.durationUs());
+            break;
+        }
+        default:
+            break;
+        }
+        if (flight_)
+            flight_->span(span);
+    });
     if (options_.metricsIntervalMs > 0) {
         collector_ = std::make_unique<telem::Collector>(
             [this] { return metricsSnapshot(); },
@@ -249,6 +265,14 @@ JobEngine::leavePending(const Job &job)
 }
 
 void
+JobEngine::leaveRunning(const Job &job)
+{
+    --runningJobs_;
+    if (job.deadlineAtUs > 0)
+        std::erase(runningDeadlineJobs_, &job);
+}
+
+void
 JobEngine::recordLatency(Job &job, std::uint64_t finishUs)
 {
     JobResult &result = job.result;
@@ -289,7 +313,7 @@ JobEngine::finishCompleted(Job &job, const CacheEntry &entry,
     job.result.derived = entry.derived;
     job.result.cached = cached;
     job.result.status = JobResult::Status::Completed;
-    --runningJobs_;
+    leaveRunning(job);
     jobStats_.inc("completed");
     jobStats_.inc(cached ? "cache_hits" : "simulated");
     recordLatency(job, spanSink_.nowUs());
@@ -305,7 +329,7 @@ JobEngine::finishFailed(Job &job, const std::string &kind,
     job.result.error = message;
     job.result.errorKind = kind;
     job.result.status = JobResult::Status::Failed;
-    --runningJobs_;
+    leaveRunning(job);
     jobStats_.inc("failed");
     const std::uint64_t finishUs = spanSink_.nowUs();
     recordLatency(job, finishUs);
@@ -494,9 +518,11 @@ JobEngine::claimAndRunOne(int worker)
         Job &job = *claimed;
         job.result.status = JobResult::Status::Running;
         job.claimUs = spanSink_.nowUs();
-        if (job.spec.deadlineMs > 0)
+        if (job.spec.deadlineMs > 0) {
             job.deadlineAtUs =
                 job.claimUs + job.spec.deadlineMs * 1000;
+            runningDeadlineJobs_.push_back(&job);
+        }
         ++runningJobs_;
         leavePending(job);
 
@@ -650,17 +676,15 @@ JobEngine::watchdogLoop()
     std::unique_lock<std::mutex> lock(mutex_);
     while (!wdStop_) {
         const std::uint64_t now = spanSink_.nowUs();
-        for (auto &jobPtr : jobs_) {
-            Job &job = *jobPtr;
-            if (job.result.status != JobResult::Status::Running ||
-                job.deadlineAtUs == 0 || now < job.deadlineAtUs)
+        for (Job *job : runningDeadlineJobs_) {
+            if (now < job->deadlineAtUs)
                 continue;
-            if (!job.abortRequested.exchange(
+            if (!job->abortRequested.exchange(
                     true, std::memory_order_relaxed)) {
                 resilienceStats_.inc("watchdog_trips");
                 if (flight_)
                     flight_->event(
-                        job.result.traceId, now, "watchdog_trip",
+                        job->result.traceId, now, "watchdog_trip",
                         "deadline passed; abort requested");
             }
         }
@@ -767,26 +791,10 @@ JobEngine::traceContext(int id) const
 }
 
 obs::Json
-JobEngine::latencyJson(bool includeSpanStages) const
+JobEngine::latencyJson() const
 {
     using telem::Stage;
-    // compile/stitch/simulate happen inside AppRunner and reach the
-    // engine only as spans; rebuild their histograms from the sink.
-    telem::Histogram fromSpans[telem::numStages];
-    if (includeSpanStages)
-        for (const telem::Span &span : spanSink_.snapshot())
-            switch (span.stage) {
-            case Stage::Compile:
-            case Stage::Stitch:
-            case Stage::Simulate:
-            case Stage::Respond:
-                fromSpans[static_cast<int>(span.stage)].record(
-                    span.durationUs());
-                break;
-            default:
-                break;
-            }
-
+    std::lock_guard<std::mutex> spanLock(spanHistMutex_);
     obs::Json doc = obs::Json::object();
     auto add = [&](Stage stage, const telem::Histogram &hist,
                    const char *label = nullptr) {
@@ -799,14 +807,12 @@ JobEngine::latencyJson(bool includeSpanStages) const
     add(Stage::Queue, stageHist_[static_cast<int>(Stage::Queue)]);
     add(Stage::CacheProbe,
         stageHist_[static_cast<int>(Stage::CacheProbe)]);
-    add(Stage::Compile,
-        fromSpans[static_cast<int>(Stage::Compile)]);
-    add(Stage::Stitch, fromSpans[static_cast<int>(Stage::Stitch)]);
+    add(Stage::Compile, spanHist_[static_cast<int>(Stage::Compile)]);
+    add(Stage::Stitch, spanHist_[static_cast<int>(Stage::Stitch)]);
     add(Stage::Simulate,
-        fromSpans[static_cast<int>(Stage::Simulate)]);
+        spanHist_[static_cast<int>(Stage::Simulate)]);
     add(Stage::Report, stageHist_[static_cast<int>(Stage::Report)]);
-    add(Stage::Respond,
-        fromSpans[static_cast<int>(Stage::Respond)]);
+    add(Stage::Respond, spanHist_[static_cast<int>(Stage::Respond)]);
     add(Stage::Backoff,
         stageHist_[static_cast<int>(Stage::Backoff)]);
     add(Stage::Job, stageHist_[static_cast<int>(Stage::Job)],
@@ -974,7 +980,7 @@ JobEngine::serviceReportJson() const
     doc.set("jobs", static_cast<std::uint64_t>(jobs_.size()));
     doc.set("telemetry", options_.telemetry);
     doc.set("counters", registry_.toJson(/*skipZero=*/false));
-    doc.set("latency", latencyJson(options_.telemetry));
+    doc.set("latency", latencyJson());
     if (options_.telemetry)
         doc.set("spans", spanSink_.rollupJson());
     // v3: provenance on every service report; the continuous-
@@ -1061,7 +1067,7 @@ JobEngine::introspectionJson() const
         doc.set("remote_cache", std::move(remote));
     }
 
-    doc.set("latency", latencyJson(options_.telemetry));
+    doc.set("latency", latencyJson());
 
     if (slo_) {
         obs::Json slo = obs::Json::object();

@@ -406,6 +406,8 @@ class JobEngine
     /** Bookkeeping for a pending job leaving the queue (claimed,
      *  cancelled or shed); mutex_ held. */
     void leavePending(const Job &job);
+    /** Bookkeeping for a running job finishing; mutex_ held. */
+    void leaveRunning(const Job &job);
     bool claimAndRunOne(int worker);
     void runSimulation(Job &job, const telem::TraceContext &ctx,
                        CacheEntry &entry, bool &failed,
@@ -417,7 +419,8 @@ class JobEngine
                       const std::string &message);
     void recordLatency(Job &job, std::uint64_t finishUs);
     telem::TraceContext contextFor(const Job &job, int worker) const;
-    obs::Json latencyJson(bool includeSpanStages) const;
+    /** Latency histograms by stage; mutex_ held. */
+    obs::Json latencyJson() const;
 
     EngineOptions options_;
     ServiceFaultInjector injector_; ///< stateless; shared with cache_
@@ -443,6 +446,8 @@ class JobEngine
      *  only when this is positive. */
     int pendingDeadlineJobs_ = 0;
     int runningJobs_ = 0;
+    /** Running jobs that carry a deadline: the watchdog's scan. */
+    std::vector<Job *> runningDeadlineJobs_;
 
     /** Deadline watchdog (started lazily by run(), joined at drain).
      *  wdStop_/wdCv_ use mutex_; the loop holds it only to scan. */
@@ -453,6 +458,14 @@ class JobEngine
     /** Engine-recorded latency histograms, guarded by mutex_:
      *  indexed by telem::Stage (queue, cache_probe, report, job). */
     telem::Histogram stageHist_[telem::numStages];
+
+    /** Span-fed latency histograms (compile, stitch, simulate,
+     *  respond: stages that reach the engine only as spans), filled
+     *  by the span-sink observer as each span closes. Their own lock,
+     *  never mutex_: submit() and the claim path record spans while
+     *  holding mutex_. Order: mutex_, then spanHistMutex_. */
+    mutable std::mutex spanHistMutex_;
+    telem::Histogram spanHist_[telem::numStages];
 
     /** Last-N failed jobs, oldest first (guarded by mutex_). */
     std::deque<ErrorRecord> errorRing_;

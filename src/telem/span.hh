@@ -92,10 +92,11 @@ class SpanSink
     void record(const Span &span);
 
     /**
-     * Secondary consumer of every span close (the flight recorder).
-     * Called after the append, outside the sink's lock — the
-     * observer takes its own lock and must never call back into the
-     * sink. Set once at engine construction, before any span flows.
+     * Secondary consumer of every span close (the engine's span-fed
+     * latency histograms and flight recorder). Called after the
+     * append, outside the sink's lock — the observer takes its own
+     * lock and must never call back into the sink. Set once at
+     * engine construction, before any span flows.
      */
     void setObserver(std::function<void(const Span &)> observer);
 

@@ -470,6 +470,50 @@ TEST(EngineTelemetry, ServiceReportCarriesQuantiles)
     EXPECT_TRUE(report.has("spans"));
 }
 
+TEST(EngineTelemetry, SpanStageLatencyEqualsTheSpansHistograms)
+{
+    EngineOptions options;
+    options.telemetry = true;
+    options.jobs = 2;
+    JobEngine engine(options);
+    for (int i = 0; i < 3; ++i) {
+        // Stitch mode compiles and stitches; each duplicate is a hit.
+        engine.submit(cheapSpec(apps::AppMode::Stitch, 2 + i));
+        engine.submit(cheapSpec(apps::AppMode::Stitch, 2 + i));
+    }
+    engine.run();
+    // The server records respond spans after a job finishes.
+    for (int id = 0; id < engine.jobCount(); ++id) {
+        const std::uint64_t t0 = engine.spanSink().nowUs();
+        engine.traceContext(id).record(telem::Stage::Respond, t0,
+                                       t0 + 40 + 7 * id);
+    }
+
+    const obs::Json report = engine.serviceReportJson();
+    EXPECT_EQ(report.get("counters")
+                  .get("svc")
+                  .get("jobs")
+                  .get("cache_hits")
+                  .asUint(),
+              3u);
+    telem::Histogram expected[telem::numStages];
+    for (const telem::Span &span : engine.spanSink().snapshot())
+        expected[static_cast<int>(span.stage)].record(
+            span.durationUs());
+    const obs::Json &latency = report.get("latency");
+    for (telem::Stage stage :
+         {telem::Stage::Compile, telem::Stage::Stitch,
+          telem::Stage::Simulate, telem::Stage::Respond}) {
+        const char *name = telem::stageName(stage);
+        const telem::Histogram &hist =
+            expected[static_cast<int>(stage)];
+        ASSERT_GT(hist.count(), 0u) << name;
+        ASSERT_TRUE(latency.has(name)) << name;
+        EXPECT_EQ(latency.get(name).dump(), hist.toJson().dump())
+            << name;
+    }
+}
+
 TEST(EngineTelemetry, ExportsAreValidDocuments)
 {
     EngineOptions options;

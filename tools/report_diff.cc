@@ -13,10 +13,12 @@
  * plain `report_diff old.json new.json`.
  *
  * Regression direction is inferred from the metric name: cycles,
- * stalls, energy, power, time, area, SLO burn rates, violation and
- * error-rate counts grow *worse* upward; boosts, speedups and
- * throughputs grow worse downward. Unrecognized metrics are reported
- * but never gate.
+ * stalls, energy, power, CPU time, area, SLO burn rates, violation
+ * and error-rate counts grow *worse* upward; boosts, speedups and
+ * throughputs grow worse downward. Wall time (`*real_time*`) is
+ * advisory: on a shared host it swings by tens of percent, so it is
+ * printed next to the CPU time that gates but never gates itself.
+ * Unrecognized metrics are reported but never gate.
  */
 
 #include <algorithm>
@@ -61,14 +63,17 @@ directionOf(const std::string &name)
                name.compare(name.size() - dotted.size(),
                             dotted.size(), dotted) == 0;
     };
+    // Wall time is advisory: micro_perf records "*/real_time_ns"
+    // next to "*/cpu_time_ns", and only the CPU time gates (through
+    // the "_ns" rule below).
+    if (contains("real_time"))
+        return Direction::Untracked;
     // Order matters: "cycles_per_sample" must match before any
     // throughput-ish token, and "perf_per_watt" is a ratio where
     // bigger is better even though it mentions power. "mips" also
     // covers "mips_compiled" (the translation-cached backend's
     // headline counter); keep the explicit token so the intent
     // survives a future tightening of the substring match.
-    // "hit_rate" covers "fleet_hit_rate" (the stitchload headline),
-    // and "_p99"/"_ms" cover "load_p99_ms".
     if (contains("boost") || contains("speedup") ||
         contains("perf_per_") || contains("throughput") ||
         contains("items_per") || contains("instr/s") ||
