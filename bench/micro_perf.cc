@@ -211,6 +211,46 @@ BM_SystemSimulationCompiled(benchmark::State &state)
 }
 BENCHMARK(BM_SystemSimulationCompiled)->Unit(benchmark::kMillisecond);
 
+/** The compact run report of one default APP1 job (stitch mode, 4 +
+ *  12 samples): a fixed document, since the simulation is
+ *  deterministic. Built once, outside every timed region. */
+const std::string &
+app1ReportText()
+{
+    static const std::string text = [] {
+        apps::AppRunner runner;
+        auto res = runner.run(apps::app1Gesture(), apps::AppMode::Stitch);
+        return svc::appReportJson(res).dump();
+    }();
+    return text;
+}
+
+/** Parse the APP1 report into a tree (and free it): the cost every
+ *  client parse of a response and every peer cacheput pays. */
+void
+BM_JsonParseReport(benchmark::State &state)
+{
+    const std::string &text = app1ReportText();
+    for (auto _ : state) {
+        obs::Json doc = obs::Json::parse(text);
+        benchmark::DoNotOptimize(doc.kind());
+    }
+}
+BENCHMARK(BM_JsonParseReport)->Unit(benchmark::kMicrosecond);
+
+/** Render the APP1 report tree compactly: the cost of freezing a
+ *  freshly built report. */
+void
+BM_JsonDumpReport(benchmark::State &state)
+{
+    const obs::Json doc = obs::Json::parse(app1ReportText());
+    for (auto _ : state) {
+        std::string text = doc.dump();
+        benchmark::DoNotOptimize(text.data());
+    }
+}
+BENCHMARK(BM_JsonDumpReport)->Unit(benchmark::kMicrosecond);
+
 /**
  * Capture every run's headline numbers into the shared stitch-bench
  * metrics map, so `micro_perf --json=PATH` emits the same schema as

@@ -1,6 +1,7 @@
 #include "obs/json.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -19,139 +20,211 @@ namespace stitch::obs
 /** The shared node behind every copy of a frozen value. */
 struct Json::Frozen
 {
+    std::atomic<std::uint32_t> refs{1};
     std::string compact;
-    mutable std::once_flag built;
-    mutable Json tree;
+    std::once_flag built;
+    Json tree; ///< parsed from `compact` on the first read
 
     const Json &
-    view() const
+    view()
     {
         std::call_once(built, [this] { tree = Json::parse(compact); });
         return tree;
     }
 };
 
-Json
-Json::freeze(Json tree)
+Json::Json(const Json &other) : tag_(other.tag_), p_(other.p_)
 {
-    if (tree.frozen_)
+    switch (tag_) {
+      case Tag::String:
+        p_.str = new std::string(*other.p_.str);
+        break;
+      case Tag::Array:
+        p_.array = new std::vector<Json>(*other.p_.array);
+        break;
+      case Tag::Object:
+        p_.object = new Members(*other.p_.object);
+        break;
+      case Tag::Frozen:
+        p_.frozen->refs.fetch_add(1, std::memory_order_relaxed);
+        break;
+      default:
+        break;
+    }
+}
+
+void
+Json::release() noexcept
+{
+    switch (tag_) {
+      case Tag::String:
+        delete p_.str;
+        break;
+      case Tag::Array:
+        delete p_.array;
+        break;
+      case Tag::Object:
+        delete p_.object;
+        break;
+      case Tag::Frozen:
+        if (p_.frozen->refs.fetch_sub(1, std::memory_order_acq_rel) ==
+            1)
+            delete p_.frozen;
+        break;
+      default:
+        break;
+    }
+}
+
+Json
+Json::array()
+{
+    Json j;
+    j.tag_ = Tag::Array;
+    j.p_.array = new std::vector<Json>();
+    return j;
+}
+
+Json
+Json::object()
+{
+    Json j;
+    j.tag_ = Tag::Object;
+    j.p_.object = new Members();
+    return j;
+}
+
+Json
+Json::freeze(const Json &tree)
+{
+    if (tree.tag_ == Tag::Frozen)
         return tree;
-    auto node = std::make_shared<Frozen>();
-    node->compact = tree.dump();
-    std::call_once(node->built,
-                   [&] { node->tree = std::move(tree); });
-    Json frozen;
-    frozen.frozen_ = std::move(node);
-    return frozen;
+    Json frozen = fromCompact(tree.dump());
+    frozen.p_.frozen->compact.shrink_to_fit(); // the entry's footprint
+    return frozen; // bytes only: the node keeps nothing of `tree`
 }
 
 Json
 Json::fromCompact(std::string text)
 {
-    auto node = std::make_shared<Frozen>();
-    node->compact = std::move(text);
     Json frozen;
-    frozen.frozen_ = std::move(node);
+    frozen.p_.frozen = new Frozen;
+    frozen.tag_ = Tag::Frozen;
+    frozen.p_.frozen->compact = std::move(text);
     return frozen;
 }
 
 const Json &
 Json::frozenTree() const
 {
-    return frozen_->view();
+    return p_.frozen->view();
 }
 
 void
 Json::thaw()
 {
-    if (frozen_)
-        *this = Json(frozen_->view());
+    // Parse a private tree rather than building the shared one: the
+    // other copies keep holding bytes only.
+    if (tag_ == Tag::Frozen)
+        *this = Json::parse(p_.frozen->compact);
 }
 
 bool
 Json::asBool() const
 {
     const Json &v = view();
-    STITCH_ASSERT(v.kind_ == Kind::Bool, "JSON value is not a bool");
-    return v.bool_;
+    STITCH_ASSERT(v.tag_ == Tag::Bool, "JSON value is not a bool");
+    return v.p_.b;
 }
 
 std::uint64_t
 Json::asUint() const
 {
     const Json &v = view();
-    if (v.kind_ == Kind::Double) {
-        STITCH_ASSERT(v.double_ >= 0 &&
-                          v.double_ == std::floor(v.double_),
+    if (v.tag_ == Tag::Double) {
+        STITCH_ASSERT(v.p_.d >= 0 && v.p_.d == std::floor(v.p_.d),
                       "JSON number is not an exact non-negative int");
-        return static_cast<std::uint64_t>(v.double_);
+        return static_cast<std::uint64_t>(v.p_.d);
     }
-    STITCH_ASSERT(v.kind_ == Kind::Int, "JSON value is not an integer");
-    return v.int_;
+    STITCH_ASSERT(v.tag_ == Tag::Int, "JSON value is not an integer");
+    return v.p_.u;
 }
 
 double
 Json::asDouble() const
 {
     const Json &v = view();
-    if (v.kind_ == Kind::Int)
-        return static_cast<double>(v.int_);
-    STITCH_ASSERT(v.kind_ == Kind::Double, "JSON value is not a number");
-    return v.double_;
+    if (v.tag_ == Tag::Int)
+        return static_cast<double>(v.p_.u);
+    STITCH_ASSERT(v.tag_ == Tag::Double, "JSON value is not a number");
+    return v.p_.d;
 }
 
 const std::string &
 Json::asString() const
 {
     const Json &v = view();
-    STITCH_ASSERT(v.kind_ == Kind::String, "JSON value is not a string");
-    return v.str_;
+    STITCH_ASSERT(v.tag_ == Tag::String, "JSON value is not a string");
+    return *v.p_.str;
 }
 
 void
 Json::push(Json v)
 {
     thaw();
-    STITCH_ASSERT(kind_ == Kind::Array, "push on a non-array");
-    array_.push_back(std::move(v));
+    STITCH_ASSERT(tag_ == Tag::Array, "push on a non-array");
+    p_.array->push_back(std::move(v));
 }
 
 std::size_t
 Json::size() const
 {
     const Json &v = view();
-    return v.kind_ == Kind::Array ? v.array_.size() : v.object_.size();
+    if (v.tag_ == Tag::Array)
+        return v.p_.array->size();
+    return v.tag_ == Tag::Object ? v.p_.object->size() : 0;
 }
 
 const Json &
 Json::at(std::size_t i) const
 {
     const Json &v = view();
-    STITCH_ASSERT(v.kind_ == Kind::Array && i < v.array_.size(),
+    STITCH_ASSERT(v.tag_ == Tag::Array && i < v.p_.array->size(),
                   "JSON array index out of range");
-    return v.array_[i];
+    return (*v.p_.array)[i];
 }
 
 void
 Json::set(const std::string &key, Json v)
 {
     thaw();
-    STITCH_ASSERT(kind_ == Kind::Object || kind_ == Kind::Null,
+    STITCH_ASSERT(tag_ == Tag::Object || tag_ == Tag::Null,
                   "set on a non-object");
-    kind_ = Kind::Object;
-    for (auto &kv : object_) {
+    if (tag_ == Tag::Null) {
+        p_.object = new Members();
+        tag_ = Tag::Object;
+    }
+    for (auto &kv : *p_.object) {
         if (kv.first == key) {
             kv.second = std::move(v);
             return;
         }
     }
-    object_.emplace_back(key, std::move(v));
+    p_.object->emplace_back(key, std::move(v));
+}
+
+const Json::Members &
+Json::items() const
+{
+    static const Members none;
+    const Json &v = view();
+    return v.tag_ == Tag::Object ? *v.p_.object : none;
 }
 
 bool
 Json::has(const std::string &key) const
 {
-    for (const auto &kv : view().object_)
+    for (const auto &kv : items())
         if (kv.first == key)
             return true;
     return false;
@@ -160,7 +233,7 @@ Json::has(const std::string &key) const
 const Json &
 Json::get(const std::string &key) const
 {
-    for (const auto &kv : view().object_)
+    for (const auto &kv : items())
         if (kv.first == key)
             return kv.second;
     fatal("JSON object has no key '", key, "'");
@@ -210,70 +283,129 @@ newlineIndent(std::string &out, int indent, int depth)
     out.append(static_cast<std::size_t>(indent * depth), ' ');
 }
 
+/**
+ * Append compact JSON text (a dump() with no whitespace) indented as
+ * dumpTo(indent) indents the tree it renders: a newline and indent
+ * after each opening bracket and comma and before each closing one
+ * (none inside an empty container), and ": " for ':'. Strings are
+ * skipped whole: their quotes and backslashes are escaped.
+ */
+void
+reindentInto(std::string &out, std::string_view text, int indent,
+             int depth)
+{
+    std::size_t run = 0; // start of the pending run of plain bytes
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
+        switch (c) {
+          case '"':
+            for (++i; i < text.size() && text[i] != '"'; ++i)
+                if (text[i] == '\\')
+                    ++i;
+            continue;
+          case '{':
+          case '[':
+            out.append(text, run, i - run);
+            out.push_back(c);
+            if (i + 1 < text.size() &&
+                text[i + 1] == (c == '{' ? '}' : ']'))
+                out.push_back(text[++i]);
+            else
+                newlineIndent(out, indent, ++depth);
+            break;
+          case '}':
+          case ']':
+            out.append(text, run, i - run);
+            newlineIndent(out, indent, --depth);
+            out.push_back(c);
+            break;
+          case ',':
+            out.append(text, run, i - run);
+            out.push_back(',');
+            newlineIndent(out, indent, depth);
+            break;
+          case ':':
+            out.append(text, run, i - run);
+            out += ": ";
+            break;
+          default:
+            continue;
+        }
+        run = i + 1;
+    }
+    out.append(text, run, text.size() - run);
+}
+
 } // namespace
 
 void
 Json::dumpTo(std::string &out, int indent, int depth) const
 {
-    if (frozen_) {
+    if (tag_ == Tag::Frozen) {
         if (indent <= 0)
-            out += frozen_->compact;
+            out += p_.frozen->compact;
         else
-            frozen_->view().dumpTo(out, indent, depth);
+            reindentInto(out, p_.frozen->compact, indent, depth);
         return;
     }
     // std::to_chars is specified as printf's "%llu" and, with general
     // format and precision 9, as "%.9g" -- without the format parse.
     char buf[32];
-    switch (kind_) {
-      case Kind::Null:
+    switch (tag_) {
+      case Tag::Null:
         out += "null";
         break;
-      case Kind::Bool:
-        out += bool_ ? "true" : "false";
+      case Tag::Bool:
+        out += p_.b ? "true" : "false";
         break;
-      case Kind::Int:
-        out.append(buf, std::to_chars(buf, buf + sizeof buf, int_).ptr);
+      case Tag::Int:
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, p_.u).ptr);
         break;
-      case Kind::Double:
-        if (std::isfinite(double_))
-            out.append(buf, std::to_chars(buf, buf + sizeof buf, double_,
+      case Tag::Double:
+        if (std::isfinite(p_.d))
+            out.append(buf, std::to_chars(buf, buf + sizeof buf, p_.d,
                                           std::chars_format::general, 9)
                                 .ptr);
         else
             out += "null"; // JSON has no inf/nan
         break;
-      case Kind::String:
-        escapeInto(out, str_);
+      case Tag::String:
+        escapeInto(out, *p_.str);
         break;
-      case Kind::Array:
+      case Tag::Array: {
+        const std::vector<Json> &array = *p_.array;
         out.push_back('[');
-        for (std::size_t i = 0; i < array_.size(); ++i) {
+        for (std::size_t i = 0; i < array.size(); ++i) {
             if (i)
                 out.push_back(',');
             newlineIndent(out, indent, depth + 1);
-            array_[i].dumpTo(out, indent, depth + 1);
+            array[i].dumpTo(out, indent, depth + 1);
         }
-        if (!array_.empty())
+        if (!array.empty())
             newlineIndent(out, indent, depth);
         out.push_back(']');
         break;
-      case Kind::Object:
+      }
+      case Tag::Object: {
+        const Members &object = *p_.object;
         out.push_back('{');
-        for (std::size_t i = 0; i < object_.size(); ++i) {
+        for (std::size_t i = 0; i < object.size(); ++i) {
             if (i)
                 out.push_back(',');
             newlineIndent(out, indent, depth + 1);
-            escapeInto(out, object_[i].first);
+            escapeInto(out, object[i].first);
             out.push_back(':');
             if (indent > 0)
                 out.push_back(' ');
-            object_[i].second.dumpTo(out, indent, depth + 1);
+            object[i].second.dumpTo(out, indent, depth + 1);
         }
-        if (!object_.empty())
+        if (!object.empty())
             newlineIndent(out, indent, depth);
         out.push_back('}');
         break;
+      }
+      case Tag::Frozen:
+        break; // handled above
     }
 }
 
@@ -468,11 +600,11 @@ class JsonParser
         Json v;
         std::from_chars_result r;
         if (isInt) {
-            v.kind_ = Json::Kind::Int;
-            r = std::from_chars(first, last, v.int_);
+            v.tag_ = Json::Tag::Int;
+            r = std::from_chars(first, last, v.p_.u);
         } else {
-            v.kind_ = Json::Kind::Double;
-            r = std::from_chars(first, last, v.double_);
+            v.tag_ = Json::Tag::Double;
+            r = std::from_chars(first, last, v.p_.d);
         }
         if (r.ec == std::errc::result_out_of_range)
             malformed("out of range");
@@ -510,7 +642,7 @@ class JsonParser
                     break;
                 expect(',');
             }
-            obj.object_.assign(
+            obj.p_.object->assign(
                 std::make_move_iterator(members_.begin() +
                                         static_cast<std::ptrdiff_t>(base)),
                 std::make_move_iterator(members_.end()));
@@ -529,7 +661,7 @@ class JsonParser
                     break;
                 expect(',');
             }
-            arr.array_.assign(
+            arr.p_.array->assign(
                 std::make_move_iterator(elements_.begin() +
                                         static_cast<std::ptrdiff_t>(base)),
                 std::make_move_iterator(elements_.end()));
@@ -550,7 +682,7 @@ class JsonParser
     std::string_view text_;
     std::size_t pos_ = 0;
     /** Open containers' members and elements (see value()). */
-    std::vector<std::pair<std::string, Json>> members_;
+    Json::Members members_;
     std::vector<Json> elements_;
 };
 

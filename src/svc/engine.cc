@@ -84,21 +84,14 @@ JobEngine::JobEngine(const EngineOptions &options)
         flight_ =
             std::make_unique<telem::FlightRecorder>(flightOptions);
     }
-    // Every span the sink closes feeds the span-only latency
-    // histograms and, when armed, the trace's black box.
+    // Every span the sink closes feeds the per-stage span histograms
+    // (the span-only latency stages and the span rollup) and, when
+    // armed, the trace's black box.
     spanSink_.setObserver([this](const telem::Span &span) {
-        switch (span.stage) {
-        case telem::Stage::Compile:
-        case telem::Stage::Stitch:
-        case telem::Stage::Simulate:
-        case telem::Stage::Respond: {
+        {
             std::lock_guard<std::mutex> lock(spanHistMutex_);
             spanHist_[static_cast<int>(span.stage)].record(
                 span.durationUs());
-            break;
-        }
-        default:
-            break;
         }
         if (flight_)
             flight_->span(span);
@@ -820,6 +813,32 @@ JobEngine::latencyJson() const
     return doc;
 }
 
+obs::Json
+JobEngine::spanRollupJson() const
+{
+    std::lock_guard<std::mutex> spanLock(spanHistMutex_);
+    obs::Json doc = obs::Json::object();
+    for (int s = 0; s < telem::numStages; ++s) {
+        const telem::Histogram &hist = spanHist_[s];
+        if (hist.count() == 0)
+            continue;
+        obs::Json entry = obs::Json::object();
+        entry.set("spans", hist.count());
+        entry.set("total_ms", static_cast<double>(hist.sum()) / 1000.0);
+        doc.set(telem::stageName(static_cast<telem::Stage>(s)),
+                std::move(entry));
+    }
+    return doc;
+}
+
+JobEngine::Load
+JobEngine::load() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return {static_cast<std::uint64_t>(pendingJobs_),
+            static_cast<std::uint64_t>(runningJobs_)};
+}
+
 telem::MetricSample
 JobEngine::metricsSnapshot() const
 {
@@ -982,7 +1001,7 @@ JobEngine::serviceReportJson() const
     doc.set("counters", registry_.toJson(/*skipZero=*/false));
     doc.set("latency", latencyJson());
     if (options_.telemetry)
-        doc.set("spans", spanSink_.rollupJson());
+        doc.set("spans", spanRollupJson());
     // v3: provenance on every service report; the continuous-
     // telemetry sections only when their organ is armed.
     doc.set("build", obs::buildInfoJson());

@@ -299,6 +299,15 @@ class JobEngine
      */
     obs::Json introspectionJson() const;
 
+    /** Pending and running job counts, read together under the
+     *  engine lock: all a liveness probe (healthz) needs. */
+    struct Load
+    {
+        std::uint64_t queueDepth = 0;
+        std::uint64_t inFlight = 0;
+    };
+    Load load() const;
+
     /** The engine's counter registry (svc.jobs, svc.cache, svc.queue,
      *  svc.latency) for embedding in larger dumps. */
     const obs::Registry &registry() const { return registry_; }
@@ -421,6 +430,9 @@ class JobEngine
     telem::TraceContext contextFor(const Job &job, int worker) const;
     /** Latency histograms by stage; mutex_ held. */
     obs::Json latencyJson() const;
+    /** Per-stage span count and total duration (ms), from the
+     *  span-fed histograms; mutex_ held. */
+    obs::Json spanRollupJson() const;
 
     EngineOptions options_;
     ServiceFaultInjector injector_; ///< stateless; shared with cache_
@@ -459,9 +471,10 @@ class JobEngine
      *  indexed by telem::Stage (queue, cache_probe, report, job). */
     telem::Histogram stageHist_[telem::numStages];
 
-    /** Span-fed latency histograms (compile, stitch, simulate,
-     *  respond: stages that reach the engine only as spans), filled
-     *  by the span-sink observer as each span closes. Their own lock,
+    /** Span-fed histograms, one per stage, filled by the span-sink
+     *  observer as each span closes: the latency of the stages that
+     *  reach the engine only as spans (compile, stitch, simulate,
+     *  respond) and, for every stage, the span rollup. Their own lock,
      *  never mutex_: submit() and the claim path record spans while
      *  holding mutex_. Order: mutex_, then spanHistMutex_. */
     mutable std::mutex spanHistMutex_;

@@ -274,12 +274,12 @@ introspectionResponse(JobEngine &engine, const std::string &cmd,
     if (cmd == "healthz") {
         // Liveness only: answered from two counters, cheap enough to
         // poll tightly.
-        obs::Json live = engine.introspectionJson();
+        const JobEngine::Load load = engine.load();
         obs::Json doc = obs::Json::object();
         stamp(doc, "stitchd-healthz");
         doc.set("status", "ok");
-        doc.set("queue_depth", live.get("queue_depth"));
-        doc.set("in_flight", live.get("in_flight"));
+        doc.set("queue_depth", load.queueDepth);
+        doc.set("in_flight", load.inFlight);
         doc.set("build", obs::buildInfoJson());
         return doc;
     }

@@ -153,27 +153,4 @@ SpanSink::writeJsonl(const std::string &path) const
     std::fclose(out);
 }
 
-obs::Json
-SpanSink::rollupJson() const
-{
-    std::uint64_t counts[numStages] = {};
-    std::uint64_t totalUs[numStages] = {};
-    for (const Span &span : snapshot()) {
-        const int s = static_cast<int>(span.stage);
-        ++counts[s];
-        totalUs[s] += span.durationUs();
-    }
-    obs::Json doc = obs::Json::object();
-    for (int s = 0; s < numStages; ++s) {
-        if (counts[s] == 0)
-            continue;
-        obs::Json entry = obs::Json::object();
-        entry.set("spans", counts[s]);
-        entry.set("total_ms",
-                  static_cast<double>(totalUs[s]) / 1000.0);
-        doc.set(stageName(static_cast<Stage>(s)), std::move(entry));
-    }
-    return doc;
-}
-
 } // namespace stitch::telem

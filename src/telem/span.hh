@@ -116,9 +116,6 @@ class SpanSink
     /** One JSON object per span, one per line (structured log). */
     void writeJsonl(const std::string &path) const;
 
-    /** Per-stage rollup: span count and total duration (ms). */
-    obs::Json rollupJson() const;
-
   private:
     mutable std::mutex mutex_;
     std::vector<Span> spans_;

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <functional>
 #include <fstream>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <thread>
@@ -29,6 +30,7 @@
 #include "obs/json.hh"
 #include "obs/sampler.hh"
 #include "sim/system.hh"
+#include "svc/artifacts.hh"
 #include "svc/cache.hh"
 #include "svc/engine.hh"
 #include "svc/job.hh"
@@ -1004,6 +1006,111 @@ TEST(ArtifactWriter, UnwritablePathThrowsTypedError)
     EXPECT_THROW(
         obs::writeJsonFile(dir + "/file/sub/report.json", doc),
         fault::ConfigError);
+}
+
+// ---------------------------------------------------------------- //
+// Memory bounds, measured as heap deltas (glibc's allocator
+// accounting), not RSS: a freed block returns to the heap at once.
+
+/** Bytes the allocator has handed out and not taken back. glibc
+ *  counts blocks parked in its per-thread cache as in use, so a test
+ *  first runs its operation once unmeasured: the cache then holds the
+ *  same blocks before and after the measured run. */
+long long
+heapInUse()
+{
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<long long>(info.uordblks + info.hblkhd);
+}
+
+/** False under an allocator that glibc does not account for (the
+ *  sanitizers bring their own), where no heap delta is measurable. */
+bool
+heapAccountingWorks()
+{
+    static char *volatile block = nullptr;
+    const long long before = heapInUse();
+    block = new char[1 << 16];
+    const bool works = heapInUse() - before >= (1 << 16);
+    delete[] block;
+    return works;
+}
+
+/** The compact run report of a default APP1 job (stitch mode, 4 + 12
+ *  samples), built once. */
+const std::string &
+app1ReportText()
+{
+    static const std::string text = [] {
+        apps::AppRunner runner;
+        auto res = runner.run(apps::app1Gesture(), apps::AppMode::Stitch);
+        return appReportJson(res).dump();
+    }();
+    return text;
+}
+
+TEST(JsonMemory, FrozenReportHoldsOnlyItsBytes)
+{
+    if (!heapAccountingWorks())
+        GTEST_SKIP() << "heap accounting unavailable";
+    const std::string &text = app1ReportText();
+    const obs::Json tree = obs::Json::parse(text);
+    const long long bound = static_cast<long long>(text.size()) * 3 / 2;
+
+    (void)obs::Json::freeze(tree);
+    const long long base = heapInUse();
+    const obs::Json frozen = obs::Json::freeze(tree);
+    EXPECT_LE(heapInUse() - base, bound);
+    // An indented dump (a disk entry, a stitchq report) renders the
+    // tree's bytes but leaves no tree behind in the shared node.
+    EXPECT_EQ(frozen.dump(2), tree.dump(2));
+    EXPECT_LE(heapInUse() - base, bound);
+}
+
+TEST(JsonMemory, ParsedReportTreeIsCompact)
+{
+    if (!heapAccountingWorks())
+        GTEST_SKIP() << "heap accounting unavailable";
+    const std::string &text = app1ReportText();
+    (void)obs::Json::parse(text);
+    const long long base = heapInUse();
+    const obs::Json tree = obs::Json::parse(text);
+    EXPECT_LE(heapInUse() - base,
+              4 * static_cast<long long>(text.size()));
+    EXPECT_EQ(tree.dump(), text);
+}
+
+/**
+ * A daemon-shaped engine (small LRU, telemetry on) serving distinct
+ * jobs through handleRequest: once the LRU is full, each further job
+ * may keep only its record, never a report tree.
+ */
+TEST(JobEngine, HeapGrowthPerDistinctJobIsBounded)
+{
+    if (!heapAccountingWorks())
+        GTEST_SKIP() << "heap accounting unavailable";
+    EngineOptions options;
+    options.memCacheEntries = 16;
+    options.telemetry = true;
+    JobEngine engine(options);
+    auto serve = [&](int from, int to) {
+        for (int i = from; i < to; ++i) {
+            // max_instructions far above the run: a distinct cache
+            // identity for the same simulated work.
+            JobSpec spec = cheapSpec();
+            spec.maxInstructions = 1'000'000'000'000ull +
+                                   static_cast<std::uint64_t>(i);
+            const obs::Json response =
+                handleRequest(engine, spec.toJson());
+            ASSERT_EQ(response.get("status").asString(), "ok");
+            ASSERT_FALSE(response.get("cached").asBool());
+        }
+    };
+    constexpr int warmup = 32, measured = 32;
+    serve(0, warmup); // compile caches built, the LRU full
+    const long long base = heapInUse();
+    serve(warmup, warmup + measured);
+    EXPECT_LE((heapInUse() - base) / measured, 32 * 1024);
 }
 
 } // namespace

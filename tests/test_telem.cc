@@ -514,6 +514,45 @@ TEST(EngineTelemetry, SpanStageLatencyEqualsTheSpansHistograms)
     }
 }
 
+TEST(EngineTelemetry, SpanRollupEqualsOneRebuiltFromTheSpans)
+{
+    EngineOptions options;
+    options.telemetry = true;
+    options.jobs = 2;
+    JobEngine engine(options);
+    for (int i = 0; i < 3; ++i) {
+        // Each pair is a simulation and a cache hit.
+        engine.submit(cheapSpec(apps::AppMode::Stitch, 2 + i));
+        engine.submit(cheapSpec(apps::AppMode::Stitch, 2 + i));
+    }
+    engine.run();
+
+    using telem::numStages;
+    std::uint64_t counts[numStages] = {};
+    std::uint64_t totalUs[numStages] = {};
+    for (const telem::Span &span : engine.spanSink().snapshot()) {
+        ++counts[static_cast<int>(span.stage)];
+        totalUs[static_cast<int>(span.stage)] += span.durationUs();
+    }
+    obs::Json expected = obs::Json::object();
+    for (int s = 0; s < numStages; ++s) {
+        if (counts[s] == 0)
+            continue;
+        obs::Json entry = obs::Json::object();
+        entry.set("spans", counts[s]);
+        entry.set("total_ms", static_cast<double>(totalUs[s]) / 1000.0);
+        expected.set(telem::stageName(static_cast<telem::Stage>(s)),
+                     std::move(entry));
+    }
+
+    const obs::Json report = engine.serviceReportJson();
+    const obs::Json &jobs = report.get("counters").get("svc").get("jobs");
+    EXPECT_EQ(jobs.get("cache_hits").asUint(), 3u);
+    EXPECT_EQ(jobs.get("simulated").asUint(), 3u);
+    ASSERT_TRUE(expected.has("simulate"));
+    EXPECT_EQ(report.get("spans").dump(), expected.dump());
+}
+
 TEST(EngineTelemetry, ExportsAreValidDocuments)
 {
     EngineOptions options;
@@ -585,6 +624,31 @@ TEST(Introspection, MetricsAndHealthzRoundTrip)
 
     obs::Json bogus = introspectionResponse(engine, "nope", 0, 0);
     EXPECT_EQ(bogus.get("status").asString(), "error");
+}
+
+TEST(Introspection, HealthzCountersEqualTheMetricsCounters)
+{
+    JobEngine engine;
+    auto expectSame = [&](std::uint64_t depth) {
+        const obs::Json healthz =
+            introspectionResponse(engine, "healthz", 1.0, 0);
+        const obs::Json metrics =
+            introspectionResponse(engine, "metrics", 1.0, 0);
+        EXPECT_EQ(healthz.get("queue_depth").dump(),
+                  metrics.get("queue_depth").dump());
+        EXPECT_EQ(healthz.get("in_flight").dump(),
+                  metrics.get("in_flight").dump());
+        EXPECT_EQ(healthz.get("queue_depth").asUint(), depth);
+        EXPECT_EQ(healthz.get("in_flight").asUint(), 0u);
+    };
+    expectSame(0);
+    engine.submit(cheapSpec());
+    JobSpec urgent = cheapSpec(apps::AppMode::Baseline, 3);
+    urgent.priority = 5; // a second band
+    engine.submit(urgent);
+    expectSame(2); // queued, not yet run
+    engine.run();
+    expectSame(0);
 }
 
 TEST(Introspection, ErrorRingRecordsFailedJobs)
