@@ -19,6 +19,90 @@ cacheStamp()
                                  engineVersion);
 }
 
+namespace
+{
+
+/** `doc`'s member `name` if it is a string, else empty. */
+std::string
+stringMember(const obs::Json &doc, const char *name)
+{
+    if (!doc.has(name) ||
+        doc.get(name).kind() != obs::Json::Kind::String)
+        return "";
+    return doc.get(name).asString();
+}
+
+} // namespace
+
+obs::Json
+encodeCacheRecord(const JobSpec &spec, const std::string &key,
+                  const CacheEntry &entry)
+{
+    obs::Json doc = obs::Json::object();
+    doc.set("schema", cacheEntrySchema);
+    doc.set("version", cacheEntryVersion);
+    doc.set("stamp", cacheStamp());
+    doc.set("key", key);
+    doc.set("spec", spec.canonicalJson());
+    doc.set("report", entry.report);
+    doc.set("derived", entry.derived);
+    return doc;
+}
+
+CacheEntry
+decodeCacheRecord(const obs::Json &doc, const JobSpec &spec)
+{
+    auto refuse = [](const char *why) {
+        throw fault::ConfigError(
+            detail::formatMessage("cache record refused: ", why));
+    };
+    if (stringMember(doc, "schema") != cacheEntrySchema ||
+        !doc.has("version") ||
+        doc.get("version").kind() != obs::Json::Kind::Int ||
+        doc.get("version").asUint() !=
+            static_cast<std::uint64_t>(cacheEntryVersion))
+        refuse("not a stitch-cache-entry v1 document");
+    const std::string stamp = stringMember(doc, "stamp");
+    if (stamp != cacheStamp())
+        throw StaleCacheRecord(detail::formatMessage(
+            "cache record stamp '", stamp,
+            "' does not match this build's ", cacheStamp()));
+    if (stringMember(doc, "key") != spec.cacheKey())
+        refuse("its key is not the spec's cache key");
+    if (!doc.has("spec") ||
+        doc.get("spec").dump() != spec.canonicalJson().dump())
+        refuse("its spec is not the requested canonical form");
+    if (!doc.has("report") || !doc.has("derived"))
+        refuse("it lacks \"report\" or \"derived\"");
+    return {obs::Json::freeze(doc.get("report")),
+            obs::Json::freeze(doc.get("derived"))};
+}
+
+obs::Json
+encodeCacheQuery(const JobSpec &spec, const std::string &key)
+{
+    obs::Json doc = obs::Json::object();
+    doc.set("key", key);
+    doc.set("spec", spec.canonicalJson());
+    return doc;
+}
+
+JobSpec
+decodeCacheQuery(const obs::Json &doc)
+{
+    const std::string key = stringMember(doc, "key");
+    if (key.empty() || !doc.has("spec"))
+        throw fault::ConfigError(
+            "a cache query needs a \"key\" string and a \"spec\"");
+    JobSpec spec = JobSpec::fromJson(doc.get("spec"));
+    if (spec.cacheKey() != key)
+        throw fault::ConfigError(detail::formatMessage(
+            "cache key ", key,
+            " does not match the spec's canonical form (",
+            spec.cacheKey(), ")"));
+    return spec;
+}
+
 ResultCache::ResultCache(std::string dir, std::size_t memEntries)
     : dir_(std::move(dir)), memEntries_(memEntries)
 {
@@ -98,45 +182,18 @@ ResultCache::diskLookup(const JobSpec &spec,
 
     // A stale, truncated or foreign file is a miss, never an error:
     // the entry will simply be recomputed and overwritten.
-    bool invalid = false;
     try {
-        obs::Json doc = obs::Json::parse(text);
-        auto strIs = [&](const char *k, const std::string &want) {
-            return doc.has(k) &&
-                   doc.get(k).kind() == obs::Json::Kind::String &&
-                   doc.get(k).asString() == want;
-        };
-        if (!doc.isObject() || !strIs("schema", cacheEntrySchema) ||
-            !doc.has("version") ||
-            doc.get("version").kind() != obs::Json::Kind::Int ||
-            doc.get("version").asUint() !=
-                static_cast<std::uint64_t>(cacheEntryVersion) ||
-            !strIs("stamp", cacheStamp()) || !doc.has("report") ||
-            !doc.has("derived")) {
-            invalid = true;
-        } else if (!doc.has("spec") ||
-                   doc.get("spec").dump() !=
-                       spec.canonicalJson().dump()) {
-            // Verify the stored spec echo against the request: a
-            // hash collision must degrade to a miss, not a wrong
-            // report.
-            warn("cache entry ", key,
-                 " echoes a different spec; treating as a miss");
-            invalid = true;
-        } else {
-            CacheEntry entry{obs::Json::freeze(doc.get("report")),
-                             obs::Json::freeze(doc.get("derived"))};
-            std::lock_guard<std::mutex> lock(mutex_);
-            memInsert(key, entry);
-            ++stats_.diskHits;
-            return entry;
-        }
-    } catch (const FatalError &) {
-        invalid = true;
+        CacheEntry entry =
+            decodeCacheRecord(obs::Json::parse(text), spec);
+        std::lock_guard<std::mutex> lock(mutex_);
+        memInsert(key, entry);
+        ++stats_.diskHits;
+        return entry;
+    } catch (const FatalError &e) {
+        warn("cache entry ", key, " treated as a miss: ", e.what());
     }
     std::lock_guard<std::mutex> lock(mutex_);
-    if (invalid)
-        ++stats_.invalidated;
+    ++stats_.invalidated;
     ++stats_.misses;
     return std::nullopt;
 }
@@ -181,15 +238,8 @@ ResultCache::store(const JobSpec &spec, const CacheEntry &entry)
     }
     if (!diskEnabled() || memoryOnly())
         return;
-    obs::Json doc = obs::Json::object();
-    doc.set("schema", cacheEntrySchema);
-    doc.set("version", cacheEntryVersion);
-    doc.set("stamp", cacheStamp());
-    doc.set("key", key);
-    doc.set("spec", spec.canonicalJson());
-    doc.set("report", entry.report);
-    doc.set("derived", entry.derived);
-    const std::string text = doc.dump(2) + "\n";
+    const std::string text =
+        encodeCacheRecord(spec, key, entry).dump(2) + "\n";
     const std::string finalPath = diskPath(key);
     const std::uint64_t seq =
         storeSeq_.fetch_add(1, std::memory_order_relaxed);

@@ -3,7 +3,7 @@
  * Content-addressed result cache for simulation jobs.
  *
  * Identity is the job spec's canonical form (svc/job.hh): the cache
- * key is its hash, and every stored entry echoes the canonical spec
+ * key is its hash, and every stored record echoes the canonical spec
  * so a hit is verified byte-for-byte against what was asked for — a
  * hash collision or a corrupted file degrades to a miss, never to a
  * wrong report.
@@ -68,6 +68,45 @@ struct CacheEntry
 };
 
 /**
+ * The cache record, the one shape an entry takes on disk, in a
+ * "cacheget" hit (plus "status") and in a "cacheput" (plus "cmd"):
+ *
+ *   {"schema":"stitch-cache-entry","version":1,"stamp":S,"key":K,
+ *    "spec":{canonical spec},"report":{...},"derived":{...}}
+ */
+obs::Json encodeCacheRecord(const JobSpec &spec,
+                            const std::string &key,
+                            const CacheEntry &entry);
+
+/** A record minted under another cacheStamp(): version skew, which
+ *  the cacheput verb answers typed "mismatch". */
+class StaleCacheRecord : public fault::ConfigError
+{
+  public:
+    using fault::ConfigError::ConfigError;
+};
+
+/**
+ * The guards every reader of a record runs — the disk layer, the
+ * remote client on a peer's hit, the server on a push: schema and
+ * version; the stamp (else StaleCacheRecord); `key` equal to
+ * spec.cacheKey(); `spec` byte-identical to spec.canonicalJson(), so
+ * a hash collision is refused, never served; `report` and `derived`
+ * present. Returns the entry, frozen; throws fault::ConfigError.
+ */
+CacheEntry decodeCacheRecord(const obs::Json &doc,
+                             const JobSpec &spec);
+
+/** {"key":K,"spec":{canonical spec}}: what a "cacheget" asks for. */
+obs::Json encodeCacheQuery(const JobSpec &spec,
+                           const std::string &key);
+
+/** The job a query or a record names: `spec` parsed strictly, and
+ *  `key` checked against its cacheKey(), so a server never trusts a
+ *  peer's hash. Throws fault::ConfigError. */
+JobSpec decodeCacheQuery(const obs::Json &doc);
+
+/**
  * In-memory LRU + optional on-disk store (see file comment).
  * Thread-safe: every method locks internally, so engine workers can
  * probe and store concurrently. The memory phase (memLookup) is a
@@ -93,9 +132,9 @@ class ResultCache
               const telem::TraceContext &trace = {});
 
     /**
-     * Probe the disk layer (verifying stamp and spec echo; a hit is
-     * promoted into memory). File I/O and JSON parsing happen here —
-     * call without holding external locks. A live `trace` context
+     * Probe the disk layer (the file must pass decodeCacheRecord(); a
+     * hit is promoted into memory). File I/O and JSON parsing happen
+     * here — call without holding external locks. A live `trace` context
      * records the probe as a cache_probe span.
      */
     std::optional<CacheEntry>
@@ -163,7 +202,7 @@ class ResultCache
         std::uint64_t diskHits = 0;
         std::uint64_t misses = 0;
         std::uint64_t stores = 0;
-        std::uint64_t invalidated = 0; ///< stale stamp / bad echo
+        std::uint64_t invalidated = 0; ///< records decode refused
         std::uint64_t evictions = 0;   ///< LRU capacity evictions
         std::uint64_t writeFailures = 0; ///< disk stores lost
         std::uint64_t tornWrites = 0;  ///< injected torn entries left

@@ -79,7 +79,6 @@ JobEngine::JobEngine(const EngineOptions &options)
         slo_ = std::make_unique<telem::SloEngine>(options_.slo);
     if (options_.flightRecorder || !options_.flightDir.empty()) {
         telem::FlightOptions flightOptions;
-        flightOptions.eventsPerJob = options_.flightEventsPerJob;
         flightOptions.dumpDir = options_.flightDir;
         flight_ =
             std::make_unique<telem::FlightRecorder>(flightOptions);
@@ -99,7 +98,7 @@ JobEngine::JobEngine(const EngineOptions &options)
     if (options_.metricsIntervalMs > 0) {
         collector_ = std::make_unique<telem::Collector>(
             [this] { return metricsSnapshot(); },
-            options_.metricsIntervalMs, options_.metricsWindows,
+            options_.metricsIntervalMs,
             [this](const telem::Window &window) {
                 if (slo_)
                     slo_->observe(window);
@@ -334,7 +333,7 @@ JobEngine::finishFailed(Job &job, const std::string &kind,
     record.error = message;
     record.atMs = static_cast<double>(finishUs) / 1000.0;
     errorRing_.push_back(std::move(record));
-    while (errorRing_.size() > options_.errorRingEntries)
+    while (errorRing_.size() > errorRingEntries)
         errorRing_.pop_front();
 
     // Every typed failure leaves a flight record behind.

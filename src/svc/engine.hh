@@ -116,9 +116,6 @@ struct EngineOptions
      *  sink and its exports). */
     bool telemetry = false;
 
-    /** Failed-job ring buffer depth for live introspection. */
-    std::size_t errorRingEntries = 32;
-
     /**
      * Admission limit on *pending* jobs; 0 = unbounded (the seed
      * behaviour). When the queue is full, a submit sheds the oldest
@@ -147,9 +144,6 @@ struct EngineOptions
      */
     std::uint64_t metricsIntervalMs = 0;
 
-    /** Time-series ring capacity (windows retained). */
-    std::size_t metricsWindows = 120;
-
     /** SLO objectives evaluated per closed window; empty = no SLO
      *  engine (and nothing SLO-shaped in reports). */
     telem::SloConfig slo;
@@ -160,9 +154,6 @@ struct EngineOptions
 
     /** Flight-record dump directory; empty = record but never dump. */
     std::string flightDir;
-
-    /** Event-ring depth per tracked job. */
-    std::size_t flightEventsPerJob = 64;
 
     /**
      * Shared cache tier (fleet mode): peer shards consulted after a
@@ -480,7 +471,9 @@ class JobEngine
     mutable std::mutex spanHistMutex_;
     telem::Histogram spanHist_[telem::numStages];
 
-    /** Last-N failed jobs, oldest first (guarded by mutex_). */
+    /** The last errorRingEntries failed jobs, oldest first (guarded
+     *  by mutex_). */
+    static constexpr std::size_t errorRingEntries = 32;
     std::deque<ErrorRecord> errorRing_;
 
     /** Span store + the wall-clock epoch all timestamps share. The

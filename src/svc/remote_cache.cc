@@ -48,28 +48,14 @@ parsePeerList(const std::string &csv)
 namespace
 {
 
-obs::Json
-cacheGetRequest(const JobSpec &spec, const std::string &key)
+/** A reply's "status" string; empty when it has none. */
+std::string
+replyStatus(const obs::Json &reply)
 {
-    obs::Json doc = obs::Json::object();
-    doc.set("cmd", "cacheget");
-    doc.set("key", key);
-    doc.set("spec", spec.toJson());
-    return doc;
-}
-
-obs::Json
-cachePutRequest(const JobSpec &spec, const std::string &key,
-                const CacheEntry &entry)
-{
-    obs::Json doc = obs::Json::object();
-    doc.set("cmd", "cacheput");
-    doc.set("key", key);
-    doc.set("stamp", cacheStamp());
-    doc.set("spec", spec.toJson());
-    doc.set("report", entry.report);
-    doc.set("derived", entry.derived);
-    return doc;
+    if (!reply.has("status") ||
+        reply.get("status").kind() != obs::Json::Kind::String)
+        return "";
+    return reply.get("status").asString();
 }
 
 } // namespace
@@ -104,9 +90,8 @@ RemoteCacheClient::lookup(const JobSpec &spec,
     if (peers_.empty())
         return std::nullopt;
 
-    const obs::Json request = cacheGetRequest(spec, key);
-    const std::string localStamp = cacheStamp();
-    const std::string localEcho = spec.canonicalJson().dump();
+    obs::Json request = encodeCacheQuery(spec, key);
+    request.set("cmd", "cacheget");
 
     // Deterministic probe order keyed on the content address: every
     // process walks the same permutation, and under the router's
@@ -116,56 +101,35 @@ RemoteCacheClient::lookup(const JobSpec &spec,
     for (std::size_t i = 0; i < peers_.size(); ++i) {
         const PeerEndpoint &peer =
             peers_[(start + i) % peers_.size()];
-        obs::Json response;
+        obs::Json reply;
         try {
-            response = requestReport(peer.host, peer.port, request,
-                                     /*chaos=*/nullptr,
-                                     /*requestIndex=*/0, timeoutMs_);
-        } catch (const fault::ConfigError &) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.errors;
-            continue; // dead peer: the tier degrades, jobs don't
-        }
-        if (!response.isObject() || !response.has("status")) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.errors;
+            reply = requestReport(peer.host, peer.port, request,
+                                  /*chaos=*/nullptr,
+                                  /*requestIndex=*/0, timeoutMs_);
+        } catch (const FatalError &) {
+            // A dead peer or an unparseable reply: the tier
+            // degrades, jobs don't.
+            count(stats_.errors);
             continue;
         }
-        const std::string status =
-            response.get("status").asString();
+        const std::string status = replyStatus(reply);
         if (status == "miss")
             continue;
         if (status != "hit") {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.errors; // typed error document
+            count(stats_.errors); // typed error document
             continue;
         }
-        // The stamp and spec-echo guards, applied to the *remote*
-        // entry exactly as diskLookup applies them to a file.
-        if (!response.has("stamp") ||
-            response.get("stamp").asString() != localStamp ||
-            !response.has("spec_echo") ||
-            response.get("spec_echo").asString() != localEcho) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.invalidated;
-            continue;
+        try {
+            // The guards diskLookup runs on a file, run on the
+            // peer's record.
+            CacheEntry entry = decodeCacheRecord(reply, spec);
+            count(stats_.hits);
+            return entry;
+        } catch (const FatalError &) {
+            count(stats_.invalidated);
         }
-        if (!response.has("report") || !response.has("derived")) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.errors;
-            continue;
-        }
-        CacheEntry entry;
-        entry.report = obs::Json::freeze(response.get("report"));
-        entry.derived = obs::Json::freeze(response.get("derived"));
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++stats_.hits;
-        }
-        return entry;
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.misses;
+    count(stats_.misses);
     return std::nullopt;
 }
 
@@ -176,7 +140,8 @@ RemoteCacheClient::storeBehind(const JobSpec &spec,
 {
     if (peers_.empty())
         return;
-    obs::Json doc = cachePutRequest(spec, key, entry);
+    obs::Json doc = encodeCacheRecord(spec, key, entry);
+    doc.set("cmd", "cacheput");
     if (!writeBehind_) {
         replicate(doc);
         return;
@@ -195,22 +160,22 @@ RemoteCacheClient::replicate(const obs::Json &doc)
     for (const PeerEndpoint &peer : peers_) {
         bool stored = false;
         try {
-            obs::Json response =
-                requestReport(peer.host, peer.port, doc,
-                              /*chaos=*/nullptr,
-                              /*requestIndex=*/0, timeoutMs_);
-            stored = response.isObject() &&
-                     response.has("status") &&
-                     response.get("status").asString() == "ok";
-        } catch (const fault::ConfigError &) {
-            stored = false;
+            stored = replyStatus(requestReport(
+                         peer.host, peer.port, doc,
+                         /*chaos=*/nullptr, /*requestIndex=*/0,
+                         timeoutMs_)) == "ok";
+        } catch (const FatalError &) {
+            // A dead peer or an unparseable reply: one lost copy.
         }
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (stored)
-            ++stats_.stores;
-        else
-            ++stats_.storeFailures;
+        count(stored ? stats_.stores : stats_.storeFailures);
     }
+}
+
+void
+RemoteCacheClient::count(std::uint64_t &counter)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++counter;
 }
 
 void

@@ -12,13 +12,16 @@
  * background thread so job latency never waits on replication) — so
  * a job simulated on shard A is a cache hit fleet-wide.
  *
- * Consistency rules:
- *  - every response's "stamp" must equal the local cacheStamp();
- *    a mismatched stamp (version skew between shards) degrades to a
- *    miss and is counted as `invalidated`, never served,
- *  - a cacheget hit's "spec_echo" must equal the local canonical
- *    form byte-for-byte — the same collision guard the disk layer
- *    runs, applied to remote entries,
+ * Consistency rules: a hit's reply and a push are both the cache
+ * record of svc/cache.hh, checked by the decodeCacheRecord() a disk
+ * read runs —
+ *  - a peer's hit must pass every guard (stamp equal to the local
+ *    cacheStamp(), key and canonical spec byte-identical to the
+ *    local job's, report and derived present); a refused record
+ *    degrades to a miss and is counted as `invalidated`, never
+ *    served,
+ *  - the serving side runs the same guards on a push before it
+ *    stores anything (svc/server.hh, cacheVerbResponse),
  *  - peer failures are counted (`errors`) and never fail a job: the
  *    remote tier is an accelerator, losing it merely costs a
  *    simulation.
@@ -92,7 +95,7 @@ struct RemoteCacheStats
     std::uint64_t hits = 0;       ///< entries adopted from a peer
     std::uint64_t misses = 0;     ///< lookups no peer could serve
     std::uint64_t errors = 0;     ///< peer transport/typed failures
-    std::uint64_t invalidated = 0; ///< stale stamp / echo mismatch
+    std::uint64_t invalidated = 0; ///< peer records decode refused
     std::uint64_t stores = 0;     ///< successful per-peer cacheputs
     std::uint64_t storeFailures = 0; ///< per-peer cacheputs lost
     std::uint64_t pending = 0;    ///< write-behind backlog (gauge)
@@ -115,18 +118,18 @@ class RemoteCacheClient
 
     /**
      * Ask the peers for `spec`'s entry (key = spec.cacheKey(),
-     * precomputed by the engine). Returns the first entry that
-     * passes the stamp and spec-echo guards; std::nullopt when every
-     * peer misses, fails, or serves something stale. Never throws.
+     * precomputed by the engine). Returns the first entry whose
+     * record passes decodeCacheRecord(); std::nullopt when every
+     * peer misses, fails, or serves a refused record. Never throws.
      */
     std::optional<CacheEntry> lookup(const JobSpec &spec,
                                      const std::string &key);
 
     /**
-     * Replicate a freshly simulated entry to every peer. With
-     * writeBehind the document is queued and the call returns
-     * immediately; otherwise it replicates inline. Failures are
-     * counted, never raised.
+     * Replicate a freshly simulated entry to every peer as a
+     * "cacheput" of its cache record. With writeBehind the document
+     * is queued and the call returns immediately; otherwise it
+     * replicates inline. Failures are counted, never raised.
      */
     void storeBehind(const JobSpec &spec, const std::string &key,
                      const CacheEntry &entry);
@@ -140,6 +143,8 @@ class RemoteCacheClient
   private:
     void replicate(const obs::Json &doc);
     void writerLoop();
+    /** Bump one of stats_'s counters under the lock. */
+    void count(std::uint64_t &counter);
 
     std::vector<PeerEndpoint> peers_;
     std::uint64_t timeoutMs_;

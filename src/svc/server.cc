@@ -130,17 +130,6 @@ errorResponseJson(const std::string &kind,
     return doc;
 }
 
-namespace
-{
-
-obs::Json
-errorResponse(const std::string &kind, const std::string &message)
-{
-    return errorResponseJson(kind, message);
-}
-
-} // namespace
-
 obs::Json
 handleRequest(JobEngine &engine, const obs::Json &jobDoc,
               int *jobIdOut)
@@ -153,11 +142,11 @@ handleRequest(JobEngine &engine, const obs::Json &jobDoc,
     } catch (const OverloadedError &e) {
         // Admission-control rejection: the typed cue for the client
         // to back off and retry (requestReportWithRetry does).
-        return errorResponse("overloaded", e.what());
+        return errorResponseJson("overloaded", e.what());
     } catch (const fault::ConfigError &e) {
-        return errorResponse("config", e.what());
+        return errorResponseJson("config", e.what());
     } catch (const std::exception &e) {
-        return errorResponse("internal", e.what());
+        return errorResponseJson("internal", e.what());
     }
     if (jobIdOut)
         *jobIdOut = id;
@@ -165,7 +154,7 @@ handleRequest(JobEngine &engine, const obs::Json &jobDoc,
 
     const JobResult &result = engine.result(id);
     if (result.status != JobResult::Status::Completed) {
-        obs::Json doc = errorResponse(
+        obs::Json doc = errorResponseJson(
             result.errorKind.empty() ? "internal" : result.errorKind,
             result.error.empty()
                 ? std::string("job ended ") +
@@ -190,73 +179,25 @@ handleRequest(JobEngine &engine, const obs::Json &jobDoc,
 obs::Json
 cacheVerbResponse(JobEngine &engine, const obs::Json &doc)
 {
-    const std::string cmd = doc.get("cmd").asString();
     try {
-        if (!doc.has("key") || !doc.has("spec"))
-            return errorResponse(
-                "config", cmd + " needs \"key\" and \"spec\"");
-        const JobSpec spec = JobSpec::fromJson(doc.get("spec"));
-        const std::string key = doc.get("key").asString();
-        if (spec.cacheKey() != key)
-            return errorResponse(
-                "config",
-                detail::formatMessage(
-                    "cache key ", key,
-                    " does not match the spec's canonical form (",
-                    spec.cacheKey(), ")"));
-
-        obs::Json resp = obs::Json::object();
-        resp.set("schema", "stitch-cache-response");
-        resp.set("version", 1);
-        resp.set("key", key);
-        resp.set("stamp", cacheStamp());
-
-        if (cmd == "cacheget") {
-            auto hit = engine.cache().lookup(spec);
-            if (hit) {
-                resp.set("status", "hit");
-                // The serving side's own canonicalization of the
-                // requested spec: the client compares it byte-exact
-                // against its local canonical form, so a schema skew
-                // between shards degrades to a miss, never to a
-                // wrong report.
-                resp.set("spec_echo", spec.canonicalJson().dump());
-                resp.set("report", hit->report);
-                resp.set("derived", hit->derived);
-            } else {
-                resp.set("status", "miss");
-            }
-            return resp;
+        const JobSpec spec = decodeCacheQuery(doc);
+        obs::Json reply = obs::Json::object();
+        if (doc.get("cmd").asString() == "cacheput") {
+            engine.cache().store(spec, decodeCacheRecord(doc, spec));
+            reply.set("status", "ok");
+        } else if (auto hit = engine.cache().lookup(spec)) {
+            reply = encodeCacheRecord(spec, spec.cacheKey(), *hit);
+            reply.set("status", "hit");
+        } else {
+            reply.set("status", "miss");
         }
-
-        // cacheput: refuse entries minted under a different
-        // job-schema/report/engine version — the stamp guard that
-        // invalidates stale disk entries applies to remote pushes
-        // before they are ever stored.
-        if (!doc.has("stamp") ||
-            doc.get("stamp").asString() != cacheStamp())
-            return errorResponse(
-                "mismatch",
-                detail::formatMessage(
-                    "cacheput stamp ",
-                    doc.has("stamp")
-                        ? doc.get("stamp").asString()
-                        : std::string("(missing)"),
-                    " does not match this shard's ", cacheStamp()));
-        if (!doc.has("report") || !doc.has("derived"))
-            return errorResponse(
-                "config", "cacheput needs \"report\" and "
-                          "\"derived\"");
-        engine.cache().store(
-            spec, {obs::Json::freeze(doc.get("report")),
-                   obs::Json::freeze(doc.get("derived"))});
-        resp.set("status", "ok");
-        resp.set("stored", true);
-        return resp;
+        return reply;
+    } catch (const StaleCacheRecord &e) {
+        return errorResponseJson("mismatch", e.what());
     } catch (const fault::ConfigError &e) {
-        return errorResponse("config", e.what());
+        return errorResponseJson("config", e.what());
     } catch (const std::exception &e) {
-        return errorResponse("internal", e.what());
+        return errorResponseJson("internal", e.what());
     }
 }
 
@@ -322,7 +263,7 @@ introspectionResponse(JobEngine &engine, const std::string &cmd,
                 engine.expositionText(uptimeS, served));
         return doc;
     }
-    return errorResponse("config", "unknown cmd: " + cmd);
+    return errorResponseJson("config", "unknown cmd: " + cmd);
 }
 
 Server::Server(JobEngine &engine, std::uint16_t port,
@@ -435,7 +376,7 @@ Server::serve(int maxRequests)
             // answer a closed socket with.
             switch (recv.status) {
             case RecvStatus::Oversize:
-                response = errorResponse(
+                response = errorResponseJson(
                     "protocol",
                     detail::formatMessage(
                         "request frame of ", recv.announced,
@@ -443,7 +384,7 @@ Server::serve(int maxRequests)
                         options_.maxFrameBytes, "-byte limit"));
                 break;
             case RecvStatus::Timeout:
-                response = errorResponse(
+                response = errorResponseJson(
                     "protocol",
                     detail::formatMessage(
                         "read timed out after ",
@@ -452,7 +393,7 @@ Server::serve(int maxRequests)
             case RecvStatus::Closed:
             case RecvStatus::Short:
             default:
-                response = errorResponse(
+                response = errorResponseJson(
                     "protocol",
                     "connection closed before a complete frame "
                     "arrived");
@@ -485,11 +426,11 @@ Server::serve(int maxRequests)
             } catch (const FatalError &e) {
                 // Json::parse fatals on malformed text; a handler
                 // that fatals answers typed too.
-                response = errorResponse("config", e.what());
+                response = errorResponseJson("config", e.what());
                 if (engine_)
                     engine_->recordProtocolFailure(e.what());
             } catch (const std::exception &e) {
-                response = errorResponse("internal", e.what());
+                response = errorResponseJson("internal", e.what());
             }
         }
         {

@@ -182,21 +182,19 @@ obs::Json errorResponseJson(const std::string &kind,
 
 /**
  * Answer one shared-cache-tier verb against the engine's ResultCache
- * (DESIGN.md §16). Both verbs carry the full spec, and the key must
- * equal the spec's canonical cacheKey() — the collision guard runs
- * on the serving side too, never trusting the peer's key.
+ * (DESIGN.md §16.3). Both verbs name their job the way a cache record
+ * does, and the server re-derives the key from the spec
+ * (decodeCacheQuery) — it never trusts the peer's hash.
  *
  *   {"cmd":"cacheget","key":K,"spec":{...}} ->
- *     stitch-cache-response {status: "hit"|"miss", stamp,
- *     spec_echo, report, derived}
- *   {"cmd":"cacheput","key":K,"stamp":S,"spec":{...},
- *    "report":{...},"derived":{...}} ->
- *     stitch-cache-response {status:"ok", stored:true}
+ *     {"status":"hit", ...the cache record} or {"status":"miss"}
+ *   {"cmd":"cacheput", ...the cache record} -> {"status":"ok"}
  *
- * A cacheget hit re-runs the version-stamp and byte-exact spec-echo
- * guards (ResultCache::lookup); a cacheput with a stale stamp is
- * rejected with a typed "mismatch" error, so an upgraded shard never
- * poisons an old one (or vice versa).
+ * The record is svc/cache.hh's, member for member a disk entry. A
+ * put passes the decodeCacheRecord() guards a disk read runs before
+ * anything is stored: a stale stamp answers a typed "mismatch" error
+ * (an upgraded shard never poisons an old one, or vice versa), any
+ * other refusal a typed "config" error.
  */
 obs::Json cacheVerbResponse(JobEngine &engine, const obs::Json &doc);
 

@@ -329,7 +329,7 @@ TimeSeries::toJson() const
 }
 
 Collector::Collector(SampleFn sample, std::uint64_t intervalMs,
-                     std::size_t capacity, WindowFn onWindow)
+                     WindowFn onWindow, std::size_t capacity)
     : sample_(std::move(sample)), onWindow_(std::move(onWindow)),
       intervalMs_(intervalMs ? intervalMs : 1000),
       series_(capacity)

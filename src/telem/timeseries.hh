@@ -169,7 +169,7 @@ class Collector
     using WindowFn = std::function<void(const Window &)>;
 
     Collector(SampleFn sample, std::uint64_t intervalMs,
-              std::size_t capacity = 120, WindowFn onWindow = {});
+              WindowFn onWindow = {}, std::size_t capacity = 120);
     ~Collector();
 
     Collector(const Collector &) = delete;

@@ -129,7 +129,7 @@ TEST(Collector, SyntheticSamplerClosesWindowsOnTick)
             completed += 7;
             return sampleAt(fakeClock, completed, 0, 1.0);
         },
-        /*intervalMs=*/60'000, /*capacity=*/4);
+        /*intervalMs=*/60'000, /*onWindow=*/{}, /*capacity=*/4);
     collector.start(); // takes the baseline sample
     collector.tick();
     collector.tick();

@@ -183,25 +183,21 @@ TEST(HashRing, ValidatesItsInputs)
 obs::Json
 cacheGetDoc(const svc::JobSpec &spec)
 {
-    obs::Json doc = obs::Json::object();
+    obs::Json doc = svc::encodeCacheQuery(spec, spec.cacheKey());
     doc.set("cmd", "cacheget");
-    doc.set("key", spec.cacheKey());
-    doc.set("spec", spec.toJson());
     return doc;
 }
 
 obs::Json
-cachePutDoc(const svc::JobSpec &spec, const std::string &stamp)
+cachePutDoc(const svc::JobSpec &spec)
 {
-    obs::Json doc = obs::Json::object();
+    svc::CacheEntry entry;
+    entry.report = obs::Json::object();
+    entry.report.set("marker", "from-peer");
+    entry.derived = obs::Json::object();
+    obs::Json doc =
+        svc::encodeCacheRecord(spec, spec.cacheKey(), entry);
     doc.set("cmd", "cacheput");
-    doc.set("key", spec.cacheKey());
-    doc.set("stamp", stamp);
-    doc.set("spec", spec.toJson());
-    obs::Json report = obs::Json::object();
-    report.set("marker", "from-peer");
-    doc.set("report", report);
-    doc.set("derived", obs::Json::object());
     return doc;
 }
 
@@ -212,19 +208,15 @@ TEST(CacheVerbs, GetMissesThenHitsAfterPut)
 
     obs::Json miss = svc::cacheVerbResponse(engine, cacheGetDoc(spec));
     EXPECT_EQ(miss.get("status").asString(), "miss");
-    EXPECT_EQ(miss.get("stamp").asString(), svc::cacheStamp());
 
-    obs::Json put = svc::cacheVerbResponse(
-        engine, cachePutDoc(spec, svc::cacheStamp()));
+    obs::Json put = svc::cacheVerbResponse(engine, cachePutDoc(spec));
     EXPECT_EQ(put.get("status").asString(), "ok");
-    EXPECT_TRUE(put.get("stored").asBool());
 
     obs::Json hit = svc::cacheVerbResponse(engine, cacheGetDoc(spec));
     ASSERT_EQ(hit.get("status").asString(), "hit");
-    // The serving side re-canonicalizes; the echo is what the client
-    // compares byte-exact against its own canonical form.
-    EXPECT_EQ(hit.get("spec_echo").asString(),
-              spec.canonicalJson().dump());
+    // The hit is the cache record: the serving side's own canonical
+    // spec, which the client compares byte-exact against its own.
+    EXPECT_EQ(hit.get("spec").dump(), spec.canonicalJson().dump());
     EXPECT_EQ(hit.get("report").get("marker").asString(),
               "from-peer");
 }
@@ -233,8 +225,9 @@ TEST(CacheVerbs, PutWithStaleStampIsRejectedTyped)
 {
     svc::JobEngine engine(svc::EngineOptions{});
     const svc::JobSpec spec = cheapSpec(2);
-    obs::Json resp = svc::cacheVerbResponse(
-        engine, cachePutDoc(spec, "stale-stamp"));
+    obs::Json doc = cachePutDoc(spec);
+    doc.set("stamp", "stale-stamp");
+    obs::Json resp = svc::cacheVerbResponse(engine, doc);
     EXPECT_EQ(resp.get("status").asString(), "error");
     EXPECT_EQ(resp.get("error_kind").asString(), "mismatch");
     // Nothing was stored.

@@ -2,7 +2,8 @@
  * @file
  * Service-layer tests: the stitch-job schema (strict parsing,
  * canonical form, cache key), the content-addressed ResultCache
- * (LRU, disk persistence, stamp and spec-echo invalidation), the
+ * (LRU, disk persistence, and one table of corrupt cache records
+ * refused on the disk, cacheget and cacheput paths), the
  * JobEngine (priority order, dedup, typed failures, cancellation,
  * worker-count invariance, admission control) and the stitchd wire
  * protocol (in-process localhost round-trip plus adversarial
@@ -19,10 +20,12 @@
 #include <functional>
 #include <fstream>
 #include <malloc.h>
+#include <mutex>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -34,6 +37,7 @@
 #include "svc/cache.hh"
 #include "svc/engine.hh"
 #include "svc/job.hh"
+#include "svc/remote_cache.hh"
 #include "svc/server.hh"
 
 namespace stitch::svc
@@ -296,47 +300,167 @@ TEST(ResultCache, DiskLayerPersistsAcrossInstances)
     EXPECT_EQ(fresh.stats().memHits, 1u);
 }
 
-TEST(ResultCache, StaleStampInvalidatesEntry)
+/** `record` without its member `name`. */
+obs::Json
+without(const obs::Json &record, const std::string &name)
 {
-    const std::string dir = scratchDir("stamp");
-    JobSpec spec = cheapSpec();
-    ResultCache cache(dir);
-    cache.store(spec, dummyEntry("stale"));
-
-    // Doctor the stored stamp: a version bump must retire the entry.
-    const std::string path = dir + "/" + spec.cacheKey() + ".json";
-    std::ifstream in(path);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
-    const std::string stamp = cacheStamp();
-    auto at = text.find(stamp);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, stamp.size(), "job0-report0-engine0");
-    std::ofstream(path) << text;
-
-    ResultCache fresh(dir);
-    EXPECT_FALSE(fresh.lookup(spec).has_value());
-    EXPECT_EQ(fresh.stats().invalidated, 1u);
-    EXPECT_EQ(fresh.stats().diskHits, 0u);
+    obs::Json out = obs::Json::object();
+    for (const auto &[key, value] : record.items())
+        if (key != name)
+            out.set(key, value);
+    return out;
 }
 
-TEST(ResultCache, SpecEchoMismatchDegradesToMiss)
+/** One corrupt cache record: a mutation of a valid record of
+ *  cheapSpec(), or (truncate) the valid text cut in half. */
+struct CorruptRecord
 {
-    const std::string dir = scratchDir("echo");
-    JobSpec a = cheapSpec();
-    JobSpec b = cheapSpec(apps::AppMode::Stitch);
-    ResultCache cache(dir);
-    cache.store(a, dummyEntry("a"));
+    const char *name;
+    obs::Json (*corrupt)(obs::Json record);
+    bool truncate = false;
+};
 
-    // Simulate a hash collision: b's key file holds a's entry.
-    fs::copy_file(dir + "/" + a.cacheKey() + ".json",
-                  dir + "/" + b.cacheKey() + ".json");
-    ResultCache fresh(dir);
-    EXPECT_FALSE(fresh.lookup(b).has_value());
-    EXPECT_EQ(fresh.stats().invalidated, 1u);
-    // The honest entry still hits.
-    EXPECT_TRUE(fresh.lookup(a).has_value());
+const CorruptRecord corruptRecords[] = {
+    {"wrong schema",
+     [](obs::Json r) {
+         r.set("schema", "stitch-run-report");
+         return r;
+     }},
+    {"wrong version",
+     [](obs::Json r) {
+         r.set("version", cacheEntryVersion + 1);
+         return r;
+     }},
+    {"stale stamp",
+     [](obs::Json r) {
+         r.set("stamp", "job0-report0-engine0");
+         return r;
+     }},
+    {"wrong key",
+     [](obs::Json r) {
+         r.set("key", "0123456789abcdef");
+         return r;
+     }},
+    {"foreign spec echo", // a hash collision: another job's spec
+     [](obs::Json r) {
+         r.set("spec",
+               cheapSpec(apps::AppMode::Stitch).canonicalJson());
+         return r;
+     }},
+    {"missing report",
+     [](obs::Json r) { return without(r, "report"); }},
+    {"missing derived",
+     [](obs::Json r) { return without(r, "derived"); }},
+    {"truncated text", [](obs::Json r) { return r; }, true},
+};
+
+/**
+ * Every row of corruptRecords is refused on each path that carries a
+ * cache record: as a disk file (a miss counted `invalidated`), as a
+ * peer's cacheget hit (no hit; `invalidated` or `errors` counted) and
+ * as a cacheput (a typed error, nothing stored). The untouched record
+ * passes all three, so no refusal is vacuous.
+ */
+TEST(ResultCache, CorruptRecordsAreRefusedOnEveryPath)
+{
+    const JobSpec spec = cheapSpec();
+    const std::string key = spec.cacheKey();
+    const obs::Json valid =
+        encodeCacheRecord(spec, key, dummyEntry("valid"));
+
+    // The peer: a handler-mode server answering every cacheget with
+    // the current row's reply text, unchecked.
+    std::mutex replyMutex;
+    std::string replyText;
+    Server peer([&](const obs::Json &) {
+        std::lock_guard<std::mutex> lock(replyMutex);
+        return obs::Json::fromCompact(replyText);
+    });
+    std::thread peerServing([&] { peer.serve(); });
+    RemoteCacheOptions remoteOptions;
+    remoteOptions.peers = {"127.0.0.1:" + std::to_string(peer.port())};
+    remoteOptions.writeBehind = false;
+    RemoteCacheClient client(remoteOptions);
+
+    // The put target: an engine-mode server, as stitchd runs one.
+    JobEngine engine{EngineOptions{}};
+    Server shard(engine);
+    std::thread shardServing([&] { shard.serve(); });
+
+    // Each path's text for a record: a disk file, a cacheget reply,
+    // a cacheput request.
+    auto texts = [](const obs::Json &record, bool truncate) {
+        obs::Json reply = record;
+        reply.set("status", "hit");
+        obs::Json put = record;
+        put.set("cmd", "cacheput");
+        std::vector<std::string> out = {record.dump(2) + "\n",
+                                        reply.dump(), put.dump()};
+        if (truncate)
+            for (std::string &text : out)
+                text.resize(text.size() / 2);
+        return out;
+    };
+
+    int row = 0;
+    for (const CorruptRecord &bad : corruptRecords) {
+        SCOPED_TRACE(bad.name);
+        const std::vector<std::string> text =
+            texts(bad.corrupt(valid), bad.truncate);
+
+        const std::string dir =
+            scratchDir("corrupt_" + std::to_string(row++));
+        ResultCache disk(dir);
+        fs::create_directories(dir);
+        std::ofstream(dir + "/" + key + ".json") << text[0];
+        EXPECT_FALSE(disk.lookup(spec).has_value());
+        EXPECT_EQ(disk.stats().invalidated, 1u);
+        EXPECT_EQ(disk.stats().diskHits, 0u);
+
+        const RemoteCacheStats before = client.stats();
+        {
+            std::lock_guard<std::mutex> lock(replyMutex);
+            replyText = text[1];
+        }
+        EXPECT_FALSE(client.lookup(spec, key).has_value());
+        const RemoteCacheStats after = client.stats();
+        EXPECT_EQ(after.hits, 0u);
+        EXPECT_EQ(after.invalidated + after.errors,
+                  before.invalidated + before.errors + 1);
+
+        const obs::Json resp =
+            requestReport("127.0.0.1", shard.port(),
+                          obs::Json::fromCompact(text[2]));
+        EXPECT_EQ(resp.get("status").asString(), "error");
+        EXPECT_EQ(resp.get("error_kind").asString(),
+                  std::string(bad.name) == "stale stamp" ? "mismatch"
+                                                         : "config");
+        EXPECT_FALSE(engine.cache().lookup(spec).has_value());
+    }
+
+    // Control: the untouched record is served on every path.
+    const std::vector<std::string> text = texts(valid, false);
+    const std::string dir = scratchDir("corrupt_control");
+    ResultCache disk(dir);
+    fs::create_directories(dir);
+    std::ofstream(dir + "/" + key + ".json") << text[0];
+    EXPECT_TRUE(disk.lookup(spec).has_value());
+    {
+        std::lock_guard<std::mutex> lock(replyMutex);
+        replyText = text[1];
+    }
+    EXPECT_TRUE(client.lookup(spec, key).has_value());
+    EXPECT_EQ(requestReport("127.0.0.1", shard.port(),
+                            obs::Json::fromCompact(text[2]))
+                  .get("status")
+                  .asString(),
+              "ok");
+    EXPECT_TRUE(engine.cache().lookup(spec).has_value());
+
+    peer.stop();
+    shard.stop();
+    peerServing.join();
+    shardServing.join();
 }
 
 TEST(ResultCache, CorruptFileIsAMissNotAnError)
@@ -1076,7 +1200,7 @@ TEST(JsonMemory, ParsedReportTreeIsCompact)
     const long long base = heapInUse();
     const obs::Json tree = obs::Json::parse(text);
     EXPECT_LE(heapInUse() - base,
-              4 * static_cast<long long>(text.size()));
+              3 * static_cast<long long>(text.size()));
     EXPECT_EQ(tree.dump(), text);
 }
 
