@@ -2,8 +2,9 @@
  * @file
  * Service-layer tests: the stitch-job schema (strict parsing,
  * canonical form, cache key), the content-addressed ResultCache
- * (LRU, disk persistence, and one table of corrupt cache records
- * refused on the disk, cacheget and cacheput paths), the
+ * (LRU, disk persistence, stamp and spec-echo invalidation, and one
+ * table of corrupt cache records refused on the disk, cacheget and
+ * cacheput paths), the
  * JobEngine (priority order, dedup, typed failures, cancellation,
  * worker-count invariance, admission control) and the stitchd wire
  * protocol (in-process localhost round-trip plus adversarial
@@ -298,6 +299,49 @@ TEST(ResultCache, DiskLayerPersistsAcrossInstances)
     // The disk hit was promoted into memory.
     EXPECT_TRUE(fresh.lookup(spec).has_value());
     EXPECT_EQ(fresh.stats().memHits, 1u);
+}
+
+TEST(ResultCache, StaleStampInvalidatesEntry)
+{
+    const std::string dir = scratchDir("stamp");
+    JobSpec spec = cheapSpec();
+    ResultCache cache(dir);
+    cache.store(spec, dummyEntry("stale"));
+
+    // Doctor the stored stamp: a version bump must retire the entry.
+    const std::string path = dir + "/" + spec.cacheKey() + ".json";
+    std::ifstream in(path);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    const std::string stamp = cacheStamp();
+    auto at = text.find(stamp);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, stamp.size(), "job0-report0-engine0");
+    std::ofstream(path) << text;
+
+    ResultCache fresh(dir);
+    EXPECT_FALSE(fresh.lookup(spec).has_value());
+    EXPECT_EQ(fresh.stats().invalidated, 1u);
+    EXPECT_EQ(fresh.stats().diskHits, 0u);
+}
+
+TEST(ResultCache, SpecEchoMismatchDegradesToMiss)
+{
+    const std::string dir = scratchDir("echo");
+    JobSpec a = cheapSpec();
+    JobSpec b = cheapSpec(apps::AppMode::Stitch);
+    ResultCache cache(dir);
+    cache.store(a, dummyEntry("a"));
+
+    // Simulate a hash collision: b's key file holds a's entry.
+    fs::copy_file(dir + "/" + a.cacheKey() + ".json",
+                  dir + "/" + b.cacheKey() + ".json");
+    ResultCache fresh(dir);
+    EXPECT_FALSE(fresh.lookup(b).has_value());
+    EXPECT_EQ(fresh.stats().invalidated, 1u);
+    // The honest entry still hits.
+    EXPECT_TRUE(fresh.lookup(a).has_value());
 }
 
 /** `record` without its member `name`. */
